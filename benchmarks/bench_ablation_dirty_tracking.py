@@ -7,7 +7,7 @@ and in the resulting performance delta.
 
 from repro.bench.harness import BENCH_CONFIG, format_table, sweep
 from repro.mem.request import RequestKind
-from repro.core.variants import build_variant
+from repro.engine.registry import build_variant
 from repro.util.rng import DeterministicRNG
 
 WORKLOADS = ("429.mcf", "401.bzip2")

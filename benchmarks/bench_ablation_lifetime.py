@@ -7,7 +7,7 @@ wear tracker enabled.
 """
 
 from repro.bench.harness import BENCH_CONFIG, format_table
-from repro.core.variants import build_variant
+from repro.engine.registry import build_variant
 from repro.mem.controller import NVMMainMemory
 from repro.util.rng import DeterministicRNG
 

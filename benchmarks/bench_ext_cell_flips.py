@@ -10,7 +10,7 @@ exists to fix.
 """
 
 from repro.bench.harness import BENCH_CONFIG, format_table
-from repro.core.variants import build_variant
+from repro.engine.registry import build_variant
 from repro.util.rng import DeterministicRNG
 
 ACCESSES = 120

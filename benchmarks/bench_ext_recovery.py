@@ -12,7 +12,7 @@ import time
 
 from repro.bench.harness import BENCH_CONFIG, format_table
 from repro.config import small_config
-from repro.core.variants import build_variant
+from repro.engine.registry import build_variant
 from repro.util.rng import DeterministicRNG
 from repro.util.units import format_energy
 

@@ -7,8 +7,7 @@ bar), and the traffic decomposition of the in-place backup scheme.
 """
 
 from repro.bench.harness import BENCH_CONFIG, format_table
-from repro.ring.controller import RingORAMController
-from repro.ring.ps import PSRingController
+from repro.engine.registry import build_variant
 from repro.util.rng import DeterministicRNG
 
 ACCESSES = 300
@@ -24,8 +23,8 @@ def _drive(controller, seed=5):
 
 def test_ps_ring_overhead(benchmark):
     def run():
-        base = _drive(RingORAMController(BENCH_CONFIG))
-        ps = _drive(PSRingController(BENCH_CONFIG))
+        base = _drive(build_variant("ring-baseline", BENCH_CONFIG))
+        ps = _drive(build_variant("ring-ps", BENCH_CONFIG))
         return base, ps
 
     base, ps = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -59,11 +58,10 @@ def test_ps_ring_overhead(benchmark):
 def test_ring_access_path_is_lighter_than_path_oram(benchmark):
     """Ring's raison d'etre: the online access touches L+1 blocks, not
     Z*(L+1).  (EvictPath amortizes the difference back; we report both.)"""
-    from repro.oram.controller import PathORAMController
 
     def run():
-        path = _drive(PathORAMController(BENCH_CONFIG), seed=6)
-        ring = _drive(RingORAMController(BENCH_CONFIG), seed=6)
+        path = _drive(build_variant("baseline", BENCH_CONFIG), seed=6)
+        ring = _drive(build_variant("ring-baseline", BENCH_CONFIG), seed=6)
         return path, ring
 
     path, ring = benchmark.pedantic(run, rounds=1, iterations=1)

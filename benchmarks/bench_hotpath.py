@@ -79,7 +79,7 @@ def bench_variant(
     lookahead: bool = True,
 ) -> Dict[str, float]:
     """Time ``measured`` accesses of one variant after ``warmup``."""
-    from repro.engine.registry import build_scheduled
+    from repro.engine.registry import build_variant
 
     config = small_config(
         height=height,
@@ -88,7 +88,7 @@ def bench_variant(
         sched_segment=segment,
         sched_lookahead=lookahead,
     )
-    controller = build_scheduled(name, config)
+    controller = build_variant(name, config)
     rng = DeterministicRNG(99)
 
     def one() -> None:

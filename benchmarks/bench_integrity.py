@@ -57,15 +57,14 @@ def bench_mode(
 ) -> Dict[str, float]:
     """Time ``measured`` ps accesses under one integrity mode."""
     from repro.engine.registry import build_variant
-    from repro.engine.sched import wrap_controller
-    from repro.integrity import enable_integrity
 
-    config = small_config(height=height, sched_window=window)
+    config = small_config(height=height, sched_window=window,
+                          integrity=mode != "none")
     controller = build_variant("ps", config)
     if mode != "none":
-        enable_integrity(controller, discipline=mode)
-    if window > 1:
-        controller = wrap_controller(controller, window)
+        # Force the discipline under test (ps declares "lazy"); the
+        # domain reads it on every persist commit.
+        controller.integrity.discipline = mode
     rng = DeterministicRNG(99)
 
     def one() -> None:

@@ -33,15 +33,7 @@ from repro.config import (
     PCM_TIMING,
     STTRAM_TIMING,
 )
-from repro.core import (
-    FullNVMController,
-    NaivePSORAMController,
-    PlainNVMController,
-    PSORAMController,
-    RcrPSORAMController,
-    VARIANTS,
-    build_variant,
-)
+from repro.core import PlainNVMController, RcrPSORAMController, build_variant
 from repro.apps import ObliviousKVStore, ObliviousQueue
 from repro.crashsim import ConsistencyChecker, CrashInjector
 from repro.errors import (
@@ -72,12 +64,8 @@ __all__ = [
     # controllers
     "PathORAMController",
     "RecursivePathORAM",
-    "PSORAMController",
-    "NaivePSORAMController",
-    "FullNVMController",
     "PlainNVMController",
     "RcrPSORAMController",
-    "VARIANTS",
     "build_variant",
     # applications
     "ObliviousKVStore",

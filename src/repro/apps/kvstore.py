@@ -27,7 +27,7 @@ key to a bus observer (the ORAM hides the bucket index itself anyway).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
 
@@ -71,15 +71,16 @@ class ObliviousKVStore:
         directory_buckets: int = 64,
         **controller_kwargs,
     ) -> "ObliviousKVStore":
-        """Build the named variant's controller and open a store over it.
+        """Build the named variant and open a store over it.
 
-        One-stop assembly via :meth:`repro.engine.registry.VariantSpec.make`
-        — the path serve shards and examples use instead of wiring a
-        controller by hand.
+        One-stop assembly via :func:`repro.engine.registry.build_variant`,
+        so ``config.integrity`` and ``config.sched_window`` apply here as
+        everywhere else.  ``controller_kwargs`` (``memory=``, ``key=``,
+        ``window=``) are forwarded.
         """
-        from repro.core.variants import get_spec
+        from repro.engine.registry import build_variant
 
-        controller = get_spec(variant).make(config, **controller_kwargs)
+        controller = build_variant(variant, config, **controller_kwargs)
         return cls(controller, directory_buckets=directory_buckets)
 
     # ------------------------------------------------------------------

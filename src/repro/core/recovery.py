@@ -25,6 +25,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.engine.sched import WindowScheduler
+
 
 @dataclass
 class RecoveryReport:
@@ -39,7 +41,7 @@ class RecoveryReport:
     the mirror was left in.
     """
 
-    variant: str
+    variant: str  #: policy and hierarchy, e.g. "DirtyEntryPSPolicy on PathORAMController"
     recovered: bool
     wpq_blocks_applied: Optional[int]
     wpq_entries_applied: Optional[int]
@@ -50,6 +52,22 @@ class RecoveryReport:
     def has_drainer(self) -> bool:
         """Whether the variant has an ADR drain path at all."""
         return self.wpq_blocks_applied is not None
+
+
+def system_name(controller) -> str:
+    """Name a system by its persistence policy and hierarchy.
+
+    The hierarchy class alone no longer tells variants apart (``ps`` and
+    ``baseline`` are both a :class:`PathORAMController`); a windowed
+    system is named after the controller it schedules.
+    """
+    if isinstance(controller, WindowScheduler):
+        controller = controller.controller
+    hierarchy = type(controller).__name__
+    policy = getattr(controller, "policy", None)
+    if policy is None:
+        return hierarchy
+    return f"{type(policy).__name__} on {hierarchy}"
 
 
 def crash_and_recover(controller) -> RecoveryReport:
@@ -74,7 +92,7 @@ def crash_and_recover(controller) -> RecoveryReport:
     if recovered and posmap is not None and hasattr(posmap, "modified_entries"):
         rebuilt = sum(1 for _ in posmap.modified_entries())
     return RecoveryReport(
-        variant=type(controller).__name__,
+        variant=system_name(controller),
         recovered=recovered,
         wpq_blocks_applied=(drainer.stats.get("crash_blocks_applied") - blocks_before)
         if drainer

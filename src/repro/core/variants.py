@@ -23,52 +23,47 @@ name               system
 ``ps-hybrid``      PS-ORAM with a write-through DRAM tree-top
 ``ring-baseline``  Ring ORAM on NVM, no crash consistency
 ``ring-ps``        crash-consistent Ring ORAM (in-place slot backup)
-``*-int``          integrity-enabled rows (baseline / naive-ps / ps / rcr-ps /
-                   eadr with the persistent Merkle integrity domain attached
-                   — docs/INTEGRITY.md)
 =================  ============================================================
+
+Integrity is an axis, not a row: ``config.integrity`` attaches the
+persistent Merkle integrity domain to any assembly
+(:func:`repro.engine.registry.build_variant`), and the crash matrix runs
+the assemblies in :data:`repro.engine.registry.INTEGRITY_AXIS` both ways
+(docs/INTEGRITY.md).
 
 ``python -m repro --list-variants`` prints this matrix.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from functools import partial
+from typing import Callable
 
-from repro.config import SystemConfig
-from repro.core.controller import PSORAMController
-from repro.core.eadr import EADRORAMController
-from repro.core.fullnvm import FullNVMController
-from repro.core.naive import NaivePSORAMController
+from repro.config import STTRAM_TIMING
 from repro.core.plain import PlainNVMController
 from repro.core.recursive_ps import RcrPSORAMController
 from repro.engine import registry
-from repro.engine.registry import (  # noqa: F401
-    VariantSpec,
-    get_spec,
-    variant_specs,
-)
-from repro.mem.controller import NVMMainMemory
+from repro.engine.eadr import EADRPolicy
+from repro.engine.fullnvm import FullNVMPolicy
+from repro.engine.ps import DirtyEntryPSPolicy, NaiveFlushAllPolicy, RingDirtyEntryPSPolicy
+from repro.engine.registry import DEFAULT_KEY, VariantSpec
+from repro.hybrid.controller import HybridPSORAMController
 from repro.oram.controller import PathORAMController
 from repro.oram.recursive import RecursivePathORAM
+from repro.ring.controller import RingORAMController
 
 
-def _hybrid_factory(config, memory=None, key=b"repro-psoram-key"):
-    from repro.hybrid.controller import HybridPSORAMController
+def _with_policy(hierarchy: Callable, make_policy: Callable) -> Callable:
+    """Factory for ``hierarchy`` driven by a fresh ``make_policy()``.
 
-    return HybridPSORAMController(config, memory=memory, key=key)
+    Policies hold per-controller state once attached, so every built
+    system gets its own instance.
+    """
 
+    def factory(config, memory=None, key=DEFAULT_KEY):
+        return hierarchy(config, memory=memory, key=key, policy=make_policy())
 
-def _ring_factory(config, memory=None, key=b"repro-psoram-key"):
-    from repro.ring.controller import RingORAMController
-
-    return RingORAMController(config, memory=memory, key=key)
-
-
-def _ring_ps_factory(config, memory=None, key=b"repro-psoram-key"):
-    from repro.ring.ps import PSRingController
-
-    return PSRingController(config, memory=memory, key=key)
+    return factory
 
 
 _SPECS = (
@@ -85,22 +80,22 @@ _SPECS = (
     VariantSpec(
         "fullnvm", "path", "full-nvm", "flat",
         "on-chip stash/PosMap built from PCM cells",
-        FullNVMController,
+        _with_policy(PathORAMController, FullNVMPolicy),
     ),
     VariantSpec(
         "fullnvm-stt", "path", "full-nvm-stt", "flat",
         "on-chip stash/PosMap built from STT-RAM cells",
-        FullNVMController.stt,
+        _with_policy(PathORAMController, partial(FullNVMPolicy, STTRAM_TIMING)),
     ),
     VariantSpec(
         "naive-ps", "path", "naive-flush-all", "flat",
         "PS-ORAM persisting all Z*(L+1) PosMap entries per access",
-        NaivePSORAMController,
+        _with_policy(PathORAMController, NaiveFlushAllPolicy),
     ),
     VariantSpec(
         "ps", "path", "dirty-entry-ps", "flat",
         "PS-ORAM with dirty-entry persistence — the paper's design",
-        PSORAMController,
+        _with_policy(PathORAMController, DirtyEntryPSPolicy),
     ),
     VariantSpec(
         "rcr-baseline", "path", "volatile", "recursive",
@@ -115,96 +110,30 @@ _SPECS = (
     VariantSpec(
         "eadr-oram", "path", "eadr", "flat",
         "extended-ADR ORAM: the crash flush drains the stash into the tree",
-        EADRORAMController,
+        _with_policy(PathORAMController, EADRPolicy),
     ),
     VariantSpec(
         "ps-hybrid", "hybrid", "dirty-entry-ps", "flat",
         "PS-ORAM with a write-through DRAM tree-top cache",
-        _hybrid_factory,
+        HybridPSORAMController,
     ),
     VariantSpec(
         "ring-baseline", "ring", "volatile", "flat",
         "Ring ORAM on NVM, volatile stash/PosMap (no crash consistency)",
-        _ring_factory,
+        RingORAMController,
     ),
     VariantSpec(
         "ring-ps", "ring", "dirty-entry-ps", "flat",
         "crash-consistent Ring ORAM (in-place slot backup, atomic rounds)",
-        _ring_ps_factory,
+        _with_policy(RingORAMController, RingDirtyEntryPSPolicy),
     ),
 )
 
-
-def _with_integrity(base_factory: Callable) -> Callable:
-    """Wrap a variant factory so the built controller carries the
-    integrity domain (discipline chosen by its persistence policy)."""
-
-    def factory(config, memory=None, key=b"repro-psoram-key"):
-        from repro.integrity.domain import enable_integrity
-
-        controller = base_factory(config, memory=memory, key=key)
-        enable_integrity(controller)
-        return controller
-
-    return factory
-
-
-#: Integrity-enabled rows: same assemblies with the crash-consistent
-#: integrity domain attached (docs/INTEGRITY.md).  Registered like any
-#: other variant, so crash injection, the digest machinery and the
-#: conformance matrix pick them up with no special-casing.
-_INTEGRITY_SPECS = (
-    VariantSpec(
-        "baseline-int", "path", "volatile", "flat",
-        "Path ORAM + volatile integrity tree (tracking/audit only)",
-        _with_integrity(PathORAMController),
-    ),
-    VariantSpec(
-        "naive-ps-int", "path", "naive-flush-all", "flat",
-        "Naive-PS-ORAM + eager per-leaf integrity path persistence",
-        _with_integrity(NaivePSORAMController),
-    ),
-    VariantSpec(
-        "ps-int", "path", "dirty-entry-ps", "flat",
-        "PS-ORAM + lazy-batched persistent integrity tree",
-        _with_integrity(PSORAMController),
-    ),
-    VariantSpec(
-        "rcr-ps-int", "path", "dirty-entry-ps", "recursive",
-        "recursive PS-ORAM + lazy-batched persistent integrity tree",
-        _with_integrity(RcrPSORAMController),
-    ),
-    VariantSpec(
-        "eadr-int", "path", "eadr", "flat",
-        "eADR ORAM + integrity root persisted by the residual-energy flush",
-        _with_integrity(EADRORAMController),
-    ),
-)
-
-for _spec in _SPECS + _INTEGRITY_SPECS:
+for _spec in _SPECS:
     registry.register(_spec)
-
-#: Backward-compatible name → factory view of the registry.
-VARIANTS: Dict[str, Callable] = {
-    spec.name: spec.factory for spec in _SPECS + _INTEGRITY_SPECS
-}
 
 #: Variants evaluated in Figure 5(a) (non-recursive systems).
 NON_RECURSIVE_VARIANTS = ("baseline", "fullnvm", "fullnvm-stt", "naive-ps", "ps")
 
 #: Variants evaluated in Figure 5(b) (recursive systems).
 RECURSIVE_VARIANTS = ("rcr-baseline", "rcr-ps")
-
-
-def build_variant(
-    name: str,
-    config: SystemConfig,
-    memory: Optional[NVMMainMemory] = None,
-    key: bytes = b"repro-psoram-key",
-):
-    """Instantiate a variant by name.
-
-    Raises ``KeyError`` with the list of known names on a typo — catching a
-    misspelt variant early beats a confusing downstream failure.
-    """
-    return registry.build_variant(name, config, memory=memory, key=key)

@@ -23,24 +23,24 @@ The conformance contract is per variant class:
   that is conformant (it gets a fresh system each round); a volatile
   variant claiming successful recovery is a violation.
 
-Every cell is deterministic given ``(variant, point, wpq, rounds, seed,
-height)``: the workload and injection RNGs are keyed substreams of the
-cell seed, so violations reproduce bit-identically and the recorded op
-trace replays through :mod:`repro.crashsim.minimize`.
+Every cell is deterministic given ``(variant, integrity, point, wpq,
+rounds, seed, height)``: the workload and injection RNGs are keyed
+substreams of the cell seed, so violations reproduce bit-identically and
+the recorded op trace replays through :mod:`repro.crashsim.minimize`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import WPQConfig, small_config
 from repro.core.recovery import crash_and_recover
-from repro.core.variants import get_spec
 from repro.crashsim.checker import ConsistencyChecker
 from repro.crashsim.injector import CrashInjector
 from repro.crashsim.reference import ReferenceController, diff_logical_state
+from repro.engine.registry import INTEGRITY_AXIS, build_variant, variant_specs
 from repro.errors import SimulatedCrash
 from repro.util.rng import DeterministicRNG
 
@@ -68,6 +68,7 @@ class CellResult:
     rounds: int
     seed: int
     height: int
+    integrity: bool = False
     supports: bool = False
     operations: int = 0
     crashes_fired: int = 0
@@ -92,6 +93,7 @@ class CellResult:
             "rounds": self.rounds,
             "seed": self.seed,
             "height": self.height,
+            "integrity": self.integrity,
             "supports": self.supports,
             "operations": self.operations,
             "crashes_fired": self.crashes_fired,
@@ -108,20 +110,28 @@ class CellResult:
         return cls(**payload)
 
 
+def cell_systems() -> Dict[str, Tuple[str, bool]]:
+    """Every system name a crash campaign accepts → (variant, integrity).
+
+    The registry rows, plus one ``-int`` label per assembly on the
+    integrity axis (the same assembly with the Merkle domain attached).
+    """
+    systems = {spec.name: (spec.name, False) for spec in variant_specs()}
+    for name, label in INTEGRITY_AXIS.items():
+        systems[label] = (name, True)
+    return dict(sorted(systems.items()))
+
+
 def _build_system(variant: str, height: int, wpq: str, config_seed: int,
-                  window: int = 1):
+                  window: int = 1, integrity: bool = False):
     """Build one cell's system; ``window > 1`` puts the controller behind
     the memory-level-parallel access window (docs/SCHEDULER.md).  The
     scheduler drains to a barrier on every crash, so the conformance
     contract is unchanged — this exercises exactly that property."""
     config = small_config(height=height, seed=config_seed,
-                          wpq=WPQ_CONFIGS[wpq], sched_window=window)
-    controller = get_spec(variant).make(config)
-    if window > 1:
-        from repro.engine.sched import wrap_controller
-
-        controller = wrap_controller(controller, window)
-    return config, controller
+                          wpq=WPQ_CONFIGS[wpq], sched_window=window,
+                          integrity=integrity)
+    return config, build_variant(variant, config)
 
 
 def _workload_span(config) -> int:
@@ -139,13 +149,16 @@ def run_cell(
     differential: bool = True,
     record_trace: bool = True,
     window: int = 1,
+    integrity: bool = False,
 ) -> CellResult:
     """Run one conformance cell; see the module docstring for the contract.
 
     ``point=None`` arms a random point each round (fuzzing mode);
     a fixed ``point`` pins every round's crash to that label (matrix
     mode).  ``differential=False`` skips the reference diff (the legacy
-    oracle-only campaign behaviour).
+    oracle-only campaign behaviour).  ``integrity`` attaches the Merkle
+    integrity domain (``config.integrity``), which adds the recovered-root
+    -matches-witness check to the contract.
     """
     if wpq not in WPQ_CONFIGS:
         raise ValueError(f"unknown WPQ config {wpq!r}; "
@@ -154,9 +167,10 @@ def run_cell(
     ops_rng = cell_rng.substream("ops")
     inject_rng = cell_rng.substream("inject")
 
-    config, controller = _build_system(variant, height, wpq, seed, window)
+    config, controller = _build_system(variant, height, wpq, seed, window,
+                                       integrity)
     result = CellResult(variant=variant, point=point, wpq=wpq, rounds=rounds,
-                        seed=seed, height=height,
+                        seed=seed, height=height, integrity=integrity,
                         supports=controller.supports_crash_consistency())
     span = _workload_span(config)
     checker = ConsistencyChecker(controller)
@@ -269,7 +283,8 @@ def run_cell(
                     f"{prefix}: volatile variant claims successful recovery")
                 break
             # Honest failure is conformant; the system restarts empty.
-            config, controller = _build_system(variant, height, wpq, seed, window)
+            config, controller = _build_system(variant, height, wpq, seed,
+                                               window, integrity)
             checker = ConsistencyChecker(controller)
             reference = ReferenceController(span, config.oram.block_bytes)
             injector = CrashInjector(controller, inject_rng)

@@ -25,8 +25,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.crashsim.conformance import run_cell
-from repro.engine.registry import variant_specs
+from repro.crashsim.conformance import cell_systems, run_cell
 
 
 @dataclass
@@ -53,6 +52,7 @@ def run_campaign(
     height: int = 6,
     ops_between_crashes: int = 8,
     small_wpq: bool = False,
+    integrity: bool = False,
 ) -> CampaignResult:
     """Run one randomized crash campaign against a fresh system.
 
@@ -69,6 +69,7 @@ def run_campaign(
         seed=seed,
         height=height,
         ops_between_crashes=ops_between_crashes,
+        integrity=integrity,
     )
     return CampaignResult(
         variant=cell.variant,
@@ -85,11 +86,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.crashsim", description=__doc__
     )
-    # Every registered variant is a legal target: volatile designs are
-    # fuzzed for *honest* recovery failure, consistent ones for the full
-    # oracle.  (The choices used to be a hardcoded five-name subset.)
-    parser.add_argument("--variant", default="ps",
-                        choices=[spec.name for spec in variant_specs()])
+    # Every registered variant (and its integrity-axis label) is a legal
+    # target: volatile designs are fuzzed for *honest* recovery failure,
+    # consistent ones for the full oracle.
+    systems = cell_systems()
+    parser.add_argument("--variant", default="ps", choices=list(systems))
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--height", type=int, default=6)
@@ -97,11 +98,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="4-entry WPQs (ordered multi-round evictions)")
     args = parser.parse_args(argv)
 
+    variant, integrity = systems[args.variant]
     result = run_campaign(
-        variant=args.variant, rounds=args.rounds, seed=args.seed,
-        height=args.height, small_wpq=args.small_wpq,
+        variant=variant, rounds=args.rounds, seed=args.seed,
+        height=args.height, small_wpq=args.small_wpq, integrity=integrity,
     )
-    print(f"variant:            {result.variant}")
+    print(f"variant:            {args.variant}")
     print(f"rounds:             {result.rounds}")
     print(f"operations:         {result.operations}")
     print(f"mid-access crashes: {result.crashes_fired}")

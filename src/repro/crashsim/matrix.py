@@ -17,6 +17,11 @@ CLI::
 
     python -m repro.crashsim matrix --rounds 3 --jobs 4
     python -m repro.crashsim matrix --variants ps,rcr-ps --wpq small
+
+Integrity is an axis of the matrix, not a registry row: the assemblies in
+:data:`repro.engine.registry.INTEGRITY_AXIS` are planned a second time
+with the Merkle integrity domain attached, as cells labelled ``ps-int``,
+``eadr-int``, ... (docs/INTEGRITY.md).
 """
 
 from __future__ import annotations
@@ -31,10 +36,15 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import small_config
-from repro.core.variants import get_spec
-from repro.crashsim.conformance import QUIESCENT, WPQ_CONFIGS, CellResult, run_cell
+from repro.crashsim.conformance import (
+    QUIESCENT,
+    WPQ_CONFIGS,
+    CellResult,
+    cell_systems,
+    run_cell,
+)
 from repro.crashsim.minimize import make_spec, minimize_trace, write_reproducer
-from repro.engine.registry import variant_specs
+from repro.engine.registry import INTEGRITY_AXIS, build_variant
 from repro.exec.cache import CACHE_VERSION, ResultCache, code_version, default_cache_root
 from repro.exec.faults import FaultPolicy
 from repro.exec.journal import RunJournal
@@ -44,13 +54,19 @@ from repro.exec.pool import PointOutcome, run_sweep
 class MatrixPoint:
     """One conformance cell, shaped for :func:`repro.exec.run_sweep`."""
 
-    variant: str
+    assembly: str  #: registry name of the system under test
     point: str  #: crash-point label, or :data:`QUIESCENT`
     wpq: str
     rounds: int
     seed: int  #: per-cell seed (already derived from the campaign seed)
     height: int
     window: int = 1  #: scheduler window depth (1 = serial pipeline)
+    integrity: bool = False  #: attach the Merkle integrity domain
+
+    @property
+    def variant(self) -> str:
+        """The cell's system name: the assembly, or its integrity label."""
+        return INTEGRITY_AXIS[self.assembly] if self.integrity else self.assembly
 
     @property
     def workload(self) -> str:
@@ -89,10 +105,11 @@ def cell_seed(campaign_seed: int, variant: str, point: str, wpq: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def variant_crash_points(variant: str, height: int = 6) -> List[str]:
+def variant_crash_points(variant: str, height: int = 6,
+                         integrity: bool = False) -> List[str]:
     """Every label the variant's controller can fire (probe instance)."""
-    controller = get_spec(variant).make(small_config(height=height, seed=0))
-    return list(controller.crash_points())
+    config = small_config(height=height, seed=0, integrity=integrity)
+    return list(build_variant(variant, config, window=1).crash_points())
 
 
 def plan_matrix(
@@ -106,12 +123,14 @@ def plan_matrix(
 ) -> List[MatrixPoint]:
     """Enumerate the full campaign matrix.
 
-    Defaults to every registered variant, every crash point that
-    variant's controller exposes plus the quiescent cell, under both WPQ
+    Defaults to every system of :func:`cell_systems` (each registered
+    variant plus its integrity-axis label), every crash point that
+    system's controller exposes plus the quiescent cell, under both WPQ
     geometries.  ``points`` restricts the labels (the quiescent cell is
     only planned when explicitly listed or unrestricted).
     """
-    names = list(variants) if variants else [s.name for s in variant_specs()]
+    systems = cell_systems()
+    names = list(variants) if variants else list(systems)
     geometries = list(wpqs) if wpqs else list(WPQ_CONFIGS)
     for geometry in geometries:
         if geometry not in WPQ_CONFIGS:
@@ -119,15 +138,16 @@ def plan_matrix(
                              f"choose from {sorted(WPQ_CONFIGS)}")
     plan: List[MatrixPoint] = []
     for name in names:
-        labels = variant_crash_points(name, height) + [QUIESCENT]
+        assembly, integrity = systems[name]
+        labels = variant_crash_points(assembly, height, integrity) + [QUIESCENT]
         if points is not None:
             labels = [label for label in labels if label in points]
         for wpq in geometries:
             for label in labels:
                 plan.append(MatrixPoint(
-                    variant=name, point=label, wpq=wpq, rounds=rounds,
+                    assembly=assembly, point=label, wpq=wpq, rounds=rounds,
                     seed=cell_seed(seed, name, label, wpq), height=height,
-                    window=window,
+                    window=window, integrity=integrity,
                 ))
     return plan
 
@@ -135,9 +155,9 @@ def plan_matrix(
 def execute_matrix_cell(point: MatrixPoint) -> CellResult:
     """Worker entry: run one cell from scratch (pool executor)."""
     return run_cell(
-        point.variant, point=point.point, wpq=point.wpq,
+        point.assembly, point=point.point, wpq=point.wpq,
         rounds=point.rounds, seed=point.seed, height=point.height,
-        window=point.window,
+        window=point.window, integrity=point.integrity,
     )
 
 
@@ -240,7 +260,8 @@ def emit_reproducers(
             )
         if not cell.trace:
             continue  # cached pre-trace result or volatile reset path
-        spec = make_spec(cell.variant, cell.wpq, cell.height, cell.seed)
+        spec = make_spec(cell.variant, cell.wpq, cell.height, cell.seed,
+                         cell.integrity)
         try:
             minimized = minimize_trace(spec, cell.trace)
         except ValueError:
@@ -272,7 +293,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Differential crash-conformance matrix over every "
                     "variant, crash point and WPQ geometry.",
     )
-    known = [s.name for s in variant_specs()]
+    known = list(cell_systems())
     parser.add_argument("--rounds", type=int, default=3,
                         help="crash/recovery rounds per cell (default 3)")
     parser.add_argument("--seed", type=int, default=1,

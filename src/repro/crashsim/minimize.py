@@ -41,10 +41,17 @@ from repro.errors import SimulatedCrash
 Event = Dict[str, Any]
 
 
-def make_spec(variant: str, wpq: str, height: int, config_seed: int) -> Dict[str, Any]:
+def make_spec(variant: str, wpq: str, height: int, config_seed: int,
+              integrity: bool = False) -> Dict[str, Any]:
     """The system half of a reproducer: everything but the ops."""
     return {"variant": variant, "wpq": wpq, "height": height,
-            "config_seed": config_seed}
+            "config_seed": config_seed, "integrity": integrity}
+
+
+def _build_from_spec(spec: Dict[str, Any]):
+    return _build_system(spec["variant"], spec["height"], spec["wpq"],
+                         spec["config_seed"],
+                         integrity=spec.get("integrity", False))
 
 
 def replay(spec: Dict[str, Any], events: Sequence[Event]) -> List[str]:
@@ -56,8 +63,7 @@ def replay(spec: Dict[str, Any], events: Sequence[Event]) -> List[str]:
     the original cell run stopped at its first inconsistent round.  A
     clean replay returns ``[]``.
     """
-    config, controller = _build_system(
-        spec["variant"], spec["height"], spec["wpq"], spec["config_seed"])
+    config, controller = _build_from_spec(spec)
     span = _workload_span(config)
     supports = controller.supports_crash_consistency()
     checker = ConsistencyChecker(controller)
@@ -79,9 +85,7 @@ def replay(spec: Dict[str, Any], events: Sequence[Event]) -> List[str]:
                 return violations
             if not supports:
                 # Honest volatile failure: restart empty, like the cell.
-                config, controller = _build_system(
-                    spec["variant"], spec["height"], spec["wpq"],
-                    spec["config_seed"])
+                config, controller = _build_from_spec(spec)
                 checker = ConsistencyChecker(controller)
                 reference = ReferenceController(span, config.oram.block_bytes)
                 injector = CrashInjector(controller)

@@ -1,8 +1,9 @@
 """The PS-ORAM persistence policies (paper Section 4.2).
 
-Extracted from the former controller subclasses: the temporary PosMap,
-backup block, and atomic dual-WPQ drainer protocol live here as
-:class:`DirtyEntryPSPolicy`, with three specializations:
+The temporary PosMap, backup block, and atomic dual-WPQ drainer protocol
+live here as :class:`DirtyEntryPSPolicy` (the ``ps`` variant is
+:class:`repro.oram.controller.PathORAMController` driven by it), with
+three specializations:
 
 * :class:`NaiveFlushAllPolicy` — persists ``Z*(L+1)`` PosMap entries per
   access instead of only the dirty ones (the straw man of Section 4.2.2).
@@ -112,8 +113,9 @@ class DirtyEntryPSPolicy(PersistencePolicy):
         region = c.persistent_posmap.region
         c._version_line = region.base + region.size_bytes
         line = c.oram_config.block_bytes
-        bounce = getattr(c, "BOUNCE_LINES", self.BOUNCE_LINES)
-        c._bounce_lines = [c._version_line + (1 + i) * line for i in range(bounce)]
+        c._bounce_lines = [
+            c._version_line + (1 + i) * line for i in range(self.BOUNCE_LINES)
+        ]
         c.drainer = Drainer(
             c.memory,
             data_capacity=max(c.config.wpq.data_entries, 1),
@@ -587,14 +589,33 @@ class NaiveFlushAllPolicy(DirtyEntryPSPolicy):
 class RingDirtyEntryPSPolicy(DirtyEntryPSPolicy):
     """PS-Ring: the PS mechanisms mapped onto Ring ORAM's write points.
 
-    * temporary PosMap — identical to the Path flavour;
-    * backup block — **in-place slot write-back**: every slot read on the
-      access path is re-written in one atomic WPQ round; the slot where
-      the target was found receives the *fresh* data under the old label;
-    * atomic dual-WPQ round — brackets the access write-back, every
-      EvictPath and every early reshuffle;
-    * dirty-entry persist — entries ride the EvictPath round that places
-      their block, exactly as in PS-ORAM.
+    Demonstrates the paper's claim that its mechanisms "support efficient
+    crash consistency for general ORAM protocols".  The mapping:
+
+    =====================  ==================================================
+    PS-ORAM mechanism      PS-Ring realization
+    =====================  ==================================================
+    temporary PosMap       identical — remaps pend until the block is durable
+    backup block           **in-place slot write-back**: every slot read on
+                           the access path is re-written in one atomic WPQ
+                           round; the slot where the target was found (or
+                           the leaf-most read slot) receives the *fresh*
+                           data under the old label, so the access is
+                           durable when it returns
+    atomic dual-WPQ round  brackets the access write-back, every EvictPath
+                           and every early reshuffle
+    dirty-entry persist    entries ride the EvictPath round that places
+                           their block, exactly as in PS-ORAM
+    =====================  ==================================================
+
+    Security note: the in-place write-back writes exactly the slots that
+    were just read (a fixed, already-revealed set), so it leaks nothing
+    new; a slot re-validated with fresh ciphertext is indistinguishable
+    from a reshuffled one when read again later.  Ring's no-slot-reuse
+    rule is preserved because re-validation *is* a rewrite.
+
+    The ``ring-ps`` variant is :class:`repro.ring.controller.RingORAMController`
+    driven by this policy; the labels it fires are ``RING_CRASH_POINTS``.
     """
 
     CHECKPOINT_BEFORE_REMAP = None

@@ -5,12 +5,22 @@ of one access hierarchy (path / ring / plain), one persistence policy and
 one PosMap mode (flat on-chip vs recursive) — registered here by
 :mod:`repro.core.variants`.  Nothing in the registry is a subclass; the
 ``factory`` closes over the assembly.
+
+:func:`build_variant` is the one way to turn a name into a running
+system: assemble the spec, attach the integrity domain when
+``config.integrity`` is set, then put the controller behind the access
+window (``config.sched_window``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
+
+from repro.engine.sched import wrap_controller
+from repro.integrity.domain import enable_integrity
+
+DEFAULT_KEY = b"repro-psoram-key"
 
 
 @dataclass(frozen=True)
@@ -25,17 +35,27 @@ class VariantSpec:
     factory: Callable
 
     def make(self, config, **kwargs):
-        """Assemble this variant's controller for ``config``.
+        """Assemble this variant's bare controller for ``config``.
 
-        The one sanctioned way to turn a spec into a running system —
-        callers (serve shards, conformance cells, apps) hold a spec and
-        call ``make`` instead of re-implementing controller assembly.
         ``kwargs`` are forwarded to the factory (``memory=``, ``key=``).
+        Callers wanting a running system use :func:`build_variant`, which
+        also honours ``config.integrity`` and ``config.sched_window``.
         """
         return self.factory(config, **kwargs)
 
 
 REGISTRY: Dict[str, VariantSpec] = {}
+
+#: The integrity axis: assemblies the crash matrix also runs with the
+#: Merkle integrity domain attached (``config.integrity``), mapped to the
+#: label such a cell carries (docs/INTEGRITY.md).
+INTEGRITY_AXIS: Dict[str, str] = {
+    "baseline": "baseline-int",
+    "naive-ps": "naive-ps-int",
+    "ps": "ps-int",
+    "rcr-ps": "rcr-ps-int",
+    "eadr-oram": "eadr-int",
+}
 
 
 def register(spec: VariantSpec) -> VariantSpec:
@@ -61,48 +81,38 @@ def get_spec(name: str) -> VariantSpec:
         ) from None
 
 
-def _apply_config_integrity(controller, config):
-    """Honour ``config.integrity``: attach the integrity domain.
+def build_variant(
+    name: str,
+    config,
+    *,
+    window: Optional[int] = None,
+    memory=None,
+    key: bytes = DEFAULT_KEY,
+):
+    """Build the named variant for ``config`` as a running system.
 
-    ``enable_integrity`` is idempotent, so variants whose factories
-    already attach a domain (the ``-int`` registry rows) compose with the
-    switch instead of double-wrapping.  Controllers without a persistence
-    policy (the plain non-ORAM yardstick) have no engine pipeline to hook
-    and are left untouched, so an ``--integrity`` sweep can still include
-    them as the no-integrity baseline.
-    """
-    if getattr(config, "integrity", False) and getattr(controller, "policy", None) is not None:
-        from repro.integrity.domain import enable_integrity  # lazy: avoid cycle
-
-        enable_integrity(controller)
-    return controller
-
-
-def build_variant(name: str, config, **kwargs):
-    """Instantiate the named variant's controller for ``config``."""
-    return _apply_config_integrity(get_spec(name).make(config, **kwargs), config)
-
-
-def build_scheduled(name: str, config, window: Optional[int] = None, **kwargs):
-    """Build a variant behind the memory-level-parallel access window.
+    ``config.integrity`` attaches the integrity domain to the bare
+    controller, before the window wraps: the scheduler drains to a
+    barrier around crash/recover, so the domain always sees a quiet
+    machine.
 
     ``window`` overrides ``config.sched_window``; depth 1 returns the
     bare controller (zero wrapper overhead, timing-identical to the
-    serial pipeline).  The integrity domain (``config.integrity``)
-    attaches to the bare controller before wrapping — the scheduler
-    drains to a barrier around crash/recover, so the domain always sees
-    a quiet machine.
+    serial pipeline).
     """
-    from repro.engine.sched import wrap_controller  # lazy: avoid cycle
-
-    controller = _apply_config_integrity(get_spec(name).make(config, **kwargs), config)
-    depth = getattr(config, "sched_window", 1) if window is None else window
+    controller = get_spec(name).make(config, memory=memory, key=key)
+    if config.integrity:
+        enable_integrity(controller)
     return wrap_controller(
         controller,
-        depth,
-        segment=getattr(config, "sched_segment", True),
-        lookahead=getattr(config, "sched_lookahead", True),
+        config.sched_window if window is None else window,
+        segment=config.sched_segment,
+        lookahead=config.sched_lookahead,
     )
+
+
+#: Historical name, kept for callers that import it.
+build_scheduled = build_variant
 
 
 def variant_specs() -> List[VariantSpec]:

@@ -335,8 +335,7 @@ def enable_integrity(controller, key: bytes = DEFAULT_INTEGRITY_KEY,
 
     The discipline defaults to what the controller's persistence policy
     declares (:meth:`~repro.engine.policy.PersistencePolicy.integrity_discipline`);
-    pass ``discipline`` to override (the bench forces ``"eager"`` onto ps
-    to price the non-batched strawman).  Idempotent: a controller that
+    pass ``discipline`` to override it.  Idempotent: a controller that
     already carries a domain returns it unchanged.
     """
     existing = getattr(controller, "integrity", None)

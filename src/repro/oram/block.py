@@ -22,7 +22,7 @@ substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.engine import CryptoEngine
 

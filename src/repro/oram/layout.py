@@ -99,8 +99,10 @@ class MemoryLayout:
         )
         # Scratch lines after the PosMap region hold round metadata: the
         # persisted version counter (1 line) and the ordered-eviction
-        # bounce region (16 lines) — see repro.core.controller.
-        cursor += self.posmap.size_bytes + 17 * line_bytes
+        # bounce region — see repro.engine.ps.DirtyEntryPSPolicy.
+        from repro.engine.ps import DirtyEntryPSPolicy  # lazy: avoid cycle
+
+        cursor += self.posmap.size_bytes + (1 + DirtyEntryPSPolicy.BOUNCE_LINES) * line_bytes
         self.recursive_trees: List[TreeRegion] = []
         entries = config.num_logical_blocks
         for _ in range(config.recursion_levels):

@@ -162,13 +162,12 @@ def report_wpq(args) -> None:
 
 
 def report_ring(args) -> None:
-    from repro.ring.controller import RingORAMController
-    from repro.ring.ps import PSRingController
+    from repro.engine.registry import build_variant
     from repro.util.rng import DeterministicRNG
 
     out = {}
-    for name, cls in (("ring-baseline", RingORAMController), ("ring-ps", PSRingController)):
-        controller = cls(BENCH_CONFIG)
+    for name in ("ring-baseline", "ring-ps"):
+        controller = build_variant(name, BENCH_CONFIG)
         rng = DeterministicRNG(5)
         for i in range(200):
             controller.write(rng.randrange(500), bytes([i % 256]))
@@ -238,8 +237,9 @@ def main(argv: Sequence[str] = None) -> int:
 
 
 def _list_variants() -> int:
-    """Print every registered variant as a hierarchy x policy x posmap row."""
-    from repro.engine.registry import variant_specs
+    """Print every registered variant as a hierarchy x policy x posmap row,
+    then the integrity axis."""
+    from repro.engine.registry import INTEGRITY_AXIS, variant_specs
 
     specs = variant_specs()
     widths = (
@@ -256,6 +256,10 @@ def _list_variants() -> int:
     for spec in specs:
         print(row.format(spec.name, spec.hierarchy, spec.policy,
                          spec.posmap, spec.summary))
+    print()
+    print("integrity axis (config.integrity; crash-matrix cell labels):")
+    for name, label in INTEGRITY_AXIS.items():
+        print(f"  {name} + integrity -> {label}")
     return 0
 
 

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from repro.apps.kvstore import ObliviousKVStore
 from repro.config import small_config
 from repro.core.recovery import RecoveryReport, crash_and_recover
-from repro.engine.registry import build_scheduled
+from repro.engine.registry import build_variant
 from repro.errors import ReproError, ServiceCrashedError, SimulatedCrash
 from repro.serve.batcher import BatchPlan, Request, plan_batch
 from repro.util.rng import DeterministicRNG
@@ -81,7 +81,7 @@ class ShardWorker:
             height=height, seed=self.config_seed, sched_window=window,
             integrity=integrity,
         )
-        controller = build_scheduled(variant, self.config, key=key)
+        controller = build_variant(variant, self.config, key=key)
         self.store = ObliviousKVStore(
             controller, directory_buckets=directory_buckets
         )

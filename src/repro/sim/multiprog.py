@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.config import SystemConfig
-from repro.core.variants import build_variant
+from repro.engine.registry import build_variant
 from repro.mem.controller import NVMMainMemory
 from repro.mem.request import Access, MemoryRequest, RequestKind
 from repro.util.stats import StatSet
@@ -126,8 +126,10 @@ class CoRunner:
         self.controllers = []
         for index in range(programs):
             view = _OffsetMemory(self.shared_memory, index * span)
+            # Programs interleave on each controller's own clock, so every
+            # runner is a bare controller (no access window).
             controller = build_variant(
-                variant, config, memory=view, key=key + bytes([index])
+                variant, config, window=1, memory=view, key=key + bytes([index])
             )
             self.controllers.append(controller)
 

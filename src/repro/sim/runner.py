@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.config import SystemConfig
-from repro.core.variants import build_variant
+from repro.engine.registry import build_variant
 from repro.sim.results import RunResult
 from repro.sim.system import SimulatedSystem
 from repro.workloads.spec import spec_workload
@@ -24,21 +24,13 @@ def run_experiment(
     traffic counters reset, so cold-tree effects do not skew steady-state
     comparisons.
 
-    ``config.integrity`` rides through :func:`build_variant`: the built
-    controller carries the crash-consistent integrity domain and its
-    digest persistence shows up in the NVM write counts and the
-    ``integrity_*`` extra stats (docs/INTEGRITY.md).
+    ``config.integrity`` and ``config.sched_window`` ride through
+    :func:`build_variant`: the built controller carries the
+    crash-consistent integrity domain (its digest persistence shows up in
+    the NVM write counts and the ``integrity_*`` extra stats,
+    docs/INTEGRITY.md) and sits behind the access window.
     """
     controller = build_variant(variant, config)
-    if getattr(config, "sched_window", 1) > 1:
-        from repro.engine.sched import wrap_controller
-
-        controller = wrap_controller(
-            controller,
-            config.sched_window,
-            segment=getattr(config, "sched_segment", True),
-            lookahead=getattr(config, "sched_lookahead", True),
-        )
     system = SimulatedSystem(config, controller)
 
     if warmup_references > 0:

@@ -5,7 +5,7 @@ import pytest
 from repro.apps.kvstore import ObliviousKVStore, StoreFullError
 from repro.apps.queue import ObliviousQueue, QueueEmptyError, QueueFullError
 from repro.config import small_config
-from repro.core.variants import build_variant
+from repro.engine.registry import build_variant
 from repro.errors import SimulatedCrash
 from repro.util.rng import DeterministicRNG
 
@@ -228,6 +228,22 @@ class TestKVStoreLifecycle:
         store.put("k", b"v")
         assert store.get("k") == b"v"
         assert store.controller.supports_crash_consistency()
+
+    def test_create_honours_integrity_and_window(self):
+        """``create`` builds like every other caller: ``config.integrity``
+        attaches the Merkle domain, ``config.sched_window`` the window."""
+        from repro.engine.sched import WindowScheduler
+
+        store = ObliviousKVStore.create(
+            "ps", small_config(height=7, integrity=True, sched_window=4),
+            directory_buckets=16,
+        )
+        assert isinstance(store.controller, WindowScheduler)
+        assert store.controller.window == 4
+        assert store.controller.integrity is not None
+        store.put("k", b"v")
+        assert store.get("k") == b"v"
+        assert store.controller.stats.get("integrity_commits") > 0
 
     def test_close_is_idempotent_and_guards_ops(self):
         from repro.apps.kvstore import StoreClosedError

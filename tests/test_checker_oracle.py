@@ -8,9 +8,9 @@ Covers the checker-layer bug sweep: read mismatches routed through
 import pytest
 
 from repro.config import small_config
-from repro.core.variants import build_variant
 from repro.crashsim.checker import ConsistencyChecker
 from repro.crashsim.injector import CrashInjector
+from repro.engine.registry import build_variant
 from repro.errors import SimulatedCrash
 
 

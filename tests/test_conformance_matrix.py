@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.config import small_config
-from repro.core.variants import build_variant, variant_specs
-from repro.crashsim.conformance import QUIESCENT, CellResult, run_cell
+from repro.crashsim.conformance import QUIESCENT, CellResult, cell_systems, run_cell
 from repro.crashsim.matrix import (
     MatrixPoint,
     cell_seed,
@@ -15,6 +14,7 @@ from repro.crashsim.matrix import (
     run_matrix,
 )
 from repro.crashsim.reference import ReferenceController, diff_logical_state
+from repro.engine.registry import INTEGRITY_AXIS, build_variant, variant_specs
 from repro.exec.journal import RunJournal, read_events
 
 
@@ -50,7 +50,7 @@ class TestRunCell:
         assert cell.crashes_fired >= 1
 
     def test_window_changes_cache_key(self):
-        base = dict(variant="ps", point="phase:fetch", wpq="default",
+        base = dict(assembly="ps", point="phase:fetch", wpq="default",
                     rounds=2, seed=9, height=6)
         serial = MatrixPoint(**base)
         windowed = MatrixPoint(**base, window=4)
@@ -104,12 +104,12 @@ class TestPlanMatrix:
     def test_covers_every_registered_variant_and_point(self):
         plan = plan_matrix(rounds=2, seed=1)
         names = {spec.name for spec in variant_specs()}
-        assert {p.variant for p in plan} == names
-        for spec in variant_specs():
-            controller = build_variant(spec.name, small_config(height=6))
-            expected = set(controller.crash_points()) | {QUIESCENT}
-            planned = {p.point for p in plan if p.variant == spec.name}
-            assert planned == expected, spec.name
+        assert {p.variant for p in plan} == names | set(INTEGRITY_AXIS.values())
+        for label, (name, integrity) in cell_systems().items():
+            config = small_config(height=6, integrity=integrity)
+            expected = set(build_variant(name, config).crash_points()) | {QUIESCENT}
+            planned = {p.point for p in plan if p.variant == label}
+            assert planned == expected, label
         # Both WPQ geometries, every cell.
         assert {p.wpq for p in plan} == {"default", "small"}
 
@@ -123,6 +123,17 @@ class TestPlanMatrix:
         plan = plan_matrix(variants=["ps"], wpqs=["default"], rounds=1)
         assert {p.variant for p in plan} == {"ps"}
         assert {p.wpq for p in plan} == {"default"}
+
+    def test_integrity_axis_cells(self):
+        """An integrity cell runs the base assembly with the domain
+        attached, under the ``-int`` label and its own cell seed."""
+        plan = plan_matrix(variants=["eadr-int"], wpqs=["default"], rounds=1)
+        assert {(p.assembly, p.integrity, p.variant) for p in plan} == {
+            ("eadr-oram", True, "eadr-int")
+        }
+        for point in plan:
+            assert point.label.startswith("eadr-int/")
+            assert point.seed == cell_seed(1, "eadr-int", point.point, "default")
 
 
 class TestRunMatrix:
@@ -148,11 +159,11 @@ class TestRunMatrix:
             assert outcome.result.to_dict() == fresh[outcome.point.key()]
 
     def test_matrix_point_key_depends_on_cell_identity(self):
-        base = dict(variant="ps", point="phase:fetch", wpq="default",
+        base = dict(assembly="ps", point="phase:fetch", wpq="default",
                     rounds=2, seed=1, height=6)
         key = MatrixPoint(**base).key()
         assert key == MatrixPoint(**base).key()
         for field, value in [("point", "phase:remap"), ("wpq", "small"),
                              ("rounds", 3), ("seed", 2), ("height", 7),
-                             ("variant", "rcr-ps")]:
+                             ("assembly", "rcr-ps"), ("integrity", True)]:
             assert MatrixPoint(**{**base, field: value}).key() != key

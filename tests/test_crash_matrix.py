@@ -10,10 +10,10 @@ untouched.
 import pytest
 
 from repro.config import WPQConfig, small_config
-from repro.core.variants import build_variant
 from repro.crashsim.checker import ConsistencyChecker
 from repro.crashsim.injector import CRASH_POINTS, CrashInjector
 from repro.engine.base import PIPELINE_PHASES
+from repro.engine.registry import build_variant
 from repro.errors import SimulatedCrash
 from repro.util.rng import DeterministicRNG
 

@@ -18,14 +18,7 @@ import json
 import pytest
 
 from repro.config import small_config
-from repro.core.controller import PSORAMController
-from repro.core.eadr import EADRORAMController
-from repro.core.naive import NaivePSORAMController
-from repro.core.recursive_ps import RcrPSORAMController
-from repro.hybrid.controller import HybridPSORAMController
-from repro.oram.controller import PathORAMController
-from repro.ring.controller import RingORAMController
-from repro.ring.ps import PSRingController
+from repro.engine.registry import build_variant
 from repro.util.rng import DeterministicRNG
 
 #: (image sha256, stats sha256, final cycle) per variant, captured at
@@ -76,17 +69,36 @@ EXPECTED = {
     ),
 }
 
+#: Goldens of the integrity axis, captured at commit ebd20a7 with the same
+#: drive from the then-registered ``ps-int`` / ``rcr-ps-int`` rows (the
+#: base assembly with the integrity domain attached at build time).
+EXPECTED_INTEGRITY = {
+    "ps-int": (
+        "326bfca0c46172bec797d73285421c57b9d14775c30f683798d3f6cc2fa0adf2",
+        "178469eed5bf945ea9ac90952577127861f5223dc5e3d0ed36669b626e0ebb2b",
+        5004560,
+    ),
+    "rcr-ps-int": (
+        "bf44a78614584a854cbd00293ac0d8618464482fceef2f572d5c39f1f8c43ebd",
+        "5c5aa5362d56ed45764bdf738a649fb6f100b0784a3d477b2b82ca7e6cc83bec",
+        3018224,
+    ),
+}
+
+#: Fixture name -> (registry variant, integrity, accesses, address space).
 CONTROLLERS = {
-    "baseline": (PathORAMController, 300, 200),
-    "ps": (PSORAMController, 300, 200),
-    "naive-ps": (NaivePSORAMController, 300, 200),
+    "baseline": ("baseline", False, 300, 200),
+    "ps": ("ps", False, 300, 200),
+    "naive-ps": ("naive-ps", False, 300, 200),
     # The recursive design pays an ORAM access per PosMap level; a shorter
     # drive keeps the fixture fast without losing coverage.
-    "rcr-ps": (RcrPSORAMController, 120, 100),
-    "ring": (RingORAMController, 300, 200),
-    "ring-ps": (PSRingController, 300, 200),
-    "ps-hybrid": (HybridPSORAMController, 300, 200),
-    "eadr-oram": (EADRORAMController, 300, 200),
+    "rcr-ps": ("rcr-ps", False, 120, 100),
+    "ring": ("ring-baseline", False, 300, 200),
+    "ring-ps": ("ring-ps", False, 300, 200),
+    "ps-hybrid": ("ps-hybrid", False, 300, 200),
+    "eadr-oram": ("eadr-oram", False, 300, 200),
+    "ps-int": ("ps", True, 300, 200),
+    "rcr-ps-int": ("rcr-ps", True, 120, 100),
 }
 
 #: Mid-drive crash+recover points, exercised so the digest also pins the
@@ -126,12 +138,12 @@ def stats_digest(controller):
     return hashlib.sha256(json.dumps(snap, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("variant", sorted(EXPECTED))
+@pytest.mark.parametrize("variant", sorted(EXPECTED) + sorted(EXPECTED_INTEGRITY))
 def test_seeded_run_is_bit_identical(variant):
-    cls, n, space = CONTROLLERS[variant]
-    controller = cls(small_config(height=6))
+    name, integrity, n, space = CONTROLLERS[variant]
+    controller = build_variant(name, small_config(height=6, integrity=integrity))
     drive(controller, n, space, crash_at=CRASH_AT.get(variant))
-    expected_image, expected_stats, expected_now = EXPECTED[variant]
+    expected_image, expected_stats, expected_now = {**EXPECTED, **EXPECTED_INTEGRITY}[variant]
     assert image_digest(controller.memory) == expected_image
     assert stats_digest(controller) == expected_stats
     assert controller.now == expected_now

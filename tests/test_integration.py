@@ -10,7 +10,7 @@ import pytest
 
 from repro.config import small_config
 from repro.core.recovery import crash_and_recover
-from repro.core.variants import build_variant
+from repro.engine.registry import build_variant
 from repro.sim.results import geometric_mean, normalize
 from repro.sim.runner import run_variants
 from repro.workloads.spec import spec_workload

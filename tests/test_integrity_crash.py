@@ -11,26 +11,34 @@ import pytest
 
 from repro.config import small_config
 from repro.core.recovery import crash_and_recover
-from repro.core.variants import get_spec
 from repro.crashsim.conformance import run_cell
+from repro.engine.registry import INTEGRITY_AXIS, build_variant
 from repro.integrity.domain import INTEGRITY_CRASH_POINTS, IntegrityDomain
 
-#: Integrity-enabled variants with runtime digest persistence (the eadr
-#: discipline has no persist-commit window, so no integrity points).
-PERSISTING_VARIANTS = ("ps-int", "naive-ps-int", "rcr-ps-int")
+#: Assemblies whose integrity discipline persists digests at runtime (the
+#: eadr discipline has no persist-commit window, so no integrity points).
+#: Test ids are the crash matrix's integrity cell labels.
+PERSISTING_VARIANTS = pytest.mark.parametrize(
+    "variant", ("ps", "naive-ps", "rcr-ps"),
+    ids=lambda name: INTEGRITY_AXIS[name],
+)
+
+
+def _with_integrity(variant, seed):
+    return build_variant(variant, small_config(height=5, seed=seed, integrity=True))
 
 
 class TestIntegrityCrashPoints:
     @pytest.mark.parametrize("point", INTEGRITY_CRASH_POINTS)
     def test_ps_int_conformant_at_point(self, point):
-        result = run_cell("ps-int", point=point, rounds=2, seed=11)
+        result = run_cell("ps", point=point, rounds=2, seed=11, integrity=True)
         assert result.supports
         assert result.crashes_fired == 2
         assert result.consistent, result.violations
 
-    @pytest.mark.parametrize("variant", PERSISTING_VARIANTS)
+    @PERSISTING_VARIANTS
     def test_variant_declares_integrity_points(self, variant):
-        controller = get_spec(variant).make(small_config(height=5, seed=3))
+        controller = _with_integrity(variant, seed=3)
         points = controller.crash_points()
         for label in INTEGRITY_CRASH_POINTS:
             assert label in points
@@ -40,11 +48,11 @@ class TestIntegrityCrashPoints:
         for label in INTEGRITY_CRASH_POINTS:
             assert meta[label] == "integrity"
 
-    @pytest.mark.parametrize("variant", PERSISTING_VARIANTS)
+    @PERSISTING_VARIANTS
     def test_mid_propagation_crash_recovers_verified(self, variant):
         """Cut power between propagation and persist: recovery must still
         produce an image matching the (crash-flushed) witness."""
-        controller = get_spec(variant).make(small_config(height=5, seed=7))
+        controller = _with_integrity(variant, seed=7)
         domain = controller.integrity
         for address in range(4):
             controller.write(address, bytes([0x40 + address]))
@@ -63,7 +71,7 @@ class TestIntegrityCrashPoints:
         assert domain.load_persisted_root() == domain.tree.recompute_root()
 
     def test_eadr_int_persists_root_only_at_crash(self):
-        controller = get_spec("eadr-int").make(small_config(height=5, seed=7))
+        controller = _with_integrity("eadr-oram", seed=7)
         domain = controller.integrity
         assert domain.discipline == "eadr"
         controller.write(1, b"resident")
@@ -76,7 +84,7 @@ class TestIntegrityCrashPoints:
         assert domain.load_persisted_root() == domain.tree.recompute_root()
 
     def test_volatile_baseline_int_is_tracking_only(self):
-        controller = get_spec("baseline-int").make(small_config(height=5, seed=7))
+        controller = _with_integrity("baseline", seed=7)
         domain = controller.integrity
         assert domain.discipline == "none"
         controller.write(1, b"ephemeral")
@@ -89,14 +97,14 @@ class TestRootPersistMutation:
 
     def test_matrix_catches_missing_root_persist(self, monkeypatch):
         monkeypatch.setattr(IntegrityDomain, "_persist_root", lambda self: None)
-        result = run_cell("ps-int", point="integrity:after-persist",
-                          rounds=2, seed=11)
+        result = run_cell("ps", point="integrity:after-persist",
+                          rounds=2, seed=11, integrity=True)
         assert not result.consistent
         assert any("witness" in v for v in result.violations)
 
     def test_matrix_passes_with_root_persist_intact(self):
-        result = run_cell("ps-int", point="integrity:after-persist",
-                          rounds=2, seed=11)
+        result = run_cell("ps", point="integrity:after-persist",
+                          rounds=2, seed=11, integrity=True)
         assert result.consistent, result.violations
 
 

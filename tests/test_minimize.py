@@ -9,7 +9,6 @@ through the ``repro`` CLI."""
 
 import pytest
 
-from repro.core.controller import PSORAMController
 from repro.crashsim.conformance import run_cell
 from repro.crashsim.matrix import MatrixPoint, emit_reproducers
 from repro.crashsim.minimize import (
@@ -22,13 +21,14 @@ from repro.crashsim.minimize import (
 )
 from repro.engine import registry
 from repro.engine.registry import VariantSpec
+from repro.engine.registry import build_variant
 from repro.exec.pool import PointOutcome
 
 BUGGY = "buggy-ps-test"
 
 
 def _buggy_factory(config, memory=None, key=b"repro-psoram-key"):
-    controller = PSORAMController(config, memory=memory, key=key)
+    controller = build_variant("ps", config, memory=memory, key=key)
     # The bug under test: dirty-entry persistence silently dropped, so
     # the persistent PosMap goes stale while the tree moves on.
     controller.policy._dirty_entries_for = lambda placed: []
@@ -103,7 +103,7 @@ class TestMinimizer:
 
     def test_emit_reproducers_writes_files(self, buggy_variant, tmp_path):
         cell = _failing_cell(buggy_variant)
-        point = MatrixPoint(variant=cell.variant, point=cell.point,
+        point = MatrixPoint(assembly=cell.variant, point=cell.point,
                             wpq=cell.wpq, rounds=cell.rounds,
                             seed=cell.seed, height=cell.height)
         outcome = PointOutcome(point, result=cell)

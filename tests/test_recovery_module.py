@@ -3,9 +3,8 @@
 import pytest
 
 from repro.config import WPQConfig, small_config
-from repro.core.controller import PSORAMController
 from repro.core.recovery import crash_and_recover
-from repro.core.variants import build_variant
+from repro.engine.registry import build_variant
 from repro.oram.block import Block
 from repro.util.rng import DeterministicRNG
 
@@ -64,6 +63,25 @@ class TestCrashAndRecover:
         assert report.has_drainer
         assert report.wpq_blocks_applied == 0  # flushed in normal flow
 
+    def test_variant_names_policy_and_hierarchy(self):
+        """``ps`` and ``baseline`` share a hierarchy class; the report
+        must still tell them apart."""
+        reports = {}
+        for name in ("ps", "baseline"):
+            controller = build_variant(name, small_config(height=6, seed=1))
+            controller.write(1, b"x")
+            reports[name] = crash_and_recover(controller).variant
+        assert reports["ps"] != reports["baseline"]
+        assert reports["ps"] == "DirtyEntryPSPolicy on PathORAMController"
+        assert reports["baseline"] == "VolatilePolicy on PathORAMController"
+
+    def test_windowed_variant_named_after_scheduled_controller(self):
+        config = small_config(height=6, seed=1, sched_window=4)
+        controller = build_variant("ps", config)
+        controller.write(1, b"x")
+        report = crash_and_recover(controller)
+        assert report.variant == "DirtyEntryPSPolicy on PathORAMController"
+
     def test_failed_recovery_rebuilds_nothing(self):
         controller = build_variant("baseline", small_config(height=6, seed=1))
         for i in range(10):
@@ -78,7 +96,7 @@ class TestCrashAndRecover:
 class TestBounceRestore:
     def test_stale_bounce_copy_ignored(self):
         """A leftover bounce line must not resurrect an old mapping."""
-        controller = PSORAMController(small_config(height=6, seed=3))
+        controller = build_variant("ps", small_config(height=6, seed=3))
         controller.write(5, b"current")
         # Forge a stale bounce copy claiming an unrelated path.
         stale_path = (controller.posmap.get(5) + 1) % controller.posmap.num_leaves
@@ -94,7 +112,7 @@ class TestBounceRestore:
 
     def test_valid_bounce_copy_restored(self):
         """A bounce copy that is the only durable copy is reinstated."""
-        controller = PSORAMController(small_config(height=6, seed=3))
+        controller = build_variant("ps", small_config(height=6, seed=3))
         controller.write(5, b"value")
         label = controller.posmap.get(5)
         # Simulate the mid-chain loss: erase every tree copy of block 5,
@@ -123,7 +141,7 @@ class TestBounceRestore:
         config = small_config(
             height=6, seed=9, wpq=WPQConfig(data_entries=4, posmap_entries=4)
         )
-        controller = PSORAMController(config)
+        controller = build_variant("ps", config)
         rng = DeterministicRNG(5)
         model = {}
         for i in range(200):

@@ -15,8 +15,8 @@ import random
 import pytest
 
 from repro.config import small_config
-from repro.core.variants import build_variant
-from repro.engine.sched import WindowScheduler, wrap_controller
+from repro.engine.registry import build_variant
+from repro.engine.sched import WindowScheduler
 from repro.mem.bank import MAX_BOUNDARIES, Bank, reserve_interval
 from repro.mem.device import DeviceTimingModel
 from repro.mem.request import Access
@@ -48,9 +48,9 @@ def _run_trace(
     Returns ``(digest, datas, cycles, stats)`` — the logical-state digest,
     every returned payload, the post-drain clock, and the stats snapshot.
     """
-    config = small_config(height=height, channels=channels, seed=1)
-    controller = build_variant(variant, config)
-    sched = wrap_controller(controller, window, segment=segment, lookahead=lookahead)
+    config = small_config(height=height, channels=channels, seed=1,
+                          sched_segment=segment, sched_lookahead=lookahead)
+    sched = build_variant(variant, config, window=window)
     rng = DeterministicRNG(seed)
     space = config.oram.total_slots // 2
     datas = []
@@ -61,8 +61,8 @@ def _run_trace(
         else:
             result = sched.read(address)
         datas.append(result.data)
-    cycles = sched.drain() if window > 1 else controller.now
-    return _logical_digest(controller), datas, cycles, controller.stats.snapshot()
+    cycles = sched.drain() if window > 1 else sched.now
+    return _logical_digest(sched), datas, cycles, sched.stats.snapshot()
 
 
 class TestLockStepEquivalence:
@@ -102,13 +102,12 @@ class TestLockStepEquivalence:
 
     def test_multichannel_overlap_happens(self):
         config = small_config(height=6, channels=2, seed=1)
-        controller = build_variant("ps", config)
-        sched = wrap_controller(controller, 4)
+        sched = build_variant("ps", config, window=4)
         rng = DeterministicRNG(5)
         for _ in range(150):
             sched.read(rng.randrange(config.oram.total_slots // 2))
         sched.drain()
-        snap = controller.stats.snapshot()
+        snap = sched.stats.snapshot()
         assert snap["sched_overlapped"] > 0
 
 
@@ -205,8 +204,7 @@ class TestHazardOrdering:
 
     def test_window_one_is_passthrough(self):
         config = small_config(height=6, seed=1)
-        controller = build_variant("ps", config)
-        assert wrap_controller(controller, 1) is controller
+        assert not isinstance(build_variant("ps", config, window=1), WindowScheduler)
 
     def test_rejects_bad_window(self):
         config = small_config(height=6, seed=1)
@@ -223,8 +221,7 @@ class TestSegmentDifferential:
         younger's fetch of every shared bucket segment arrives at or
         after the older write-back round that released that segment."""
         config = small_config(height=6, channels=2, seed=1)
-        controller = build_variant("ps", config)
-        sched = wrap_controller(controller, 4)
+        sched = build_variant("ps", config, window=4)
         rng = DeterministicRNG(13)
         space = config.oram.total_slots // 2
         results = [sched.read(rng.randrange(space)) for _ in range(80)]

@@ -9,7 +9,7 @@ plain (non-ORAM) system visibly leaks.
 import pytest
 
 from repro.config import small_config
-from repro.core.variants import build_variant
+from repro.engine.registry import build_variant
 from repro.security.analysis import (
     access_length_invariance,
     leaf_autocorrelation,
@@ -75,12 +75,11 @@ class TestLeafLabelStatistics:
         """Label graduation: consecutive writes to a stash-resident block
         read a fresh pending label each time, never the same path twice in
         a row (the leak the graduation mechanism exists to close)."""
-        from repro.core.controller import PSORAMController
         from repro.oram.block import Block
         from repro.oram.stash import StashEntry
 
         config = small_config(height=8, seed=2)
-        controller = PSORAMController(config)
+        controller = build_variant("ps", config)
         label = controller.posmap.get(5)
         controller.persistent_posmap.write_entry(5, label)
         controller.stash.add(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.kvstore import ObliviousKVStore
 from repro.config import small_config
-from repro.core.variants import build_variant
+from repro.engine.registry import build_variant
 from repro.serve.bulk import BulkStore
 from repro.serve.twopool import PromotionPolicy, TwoPoolStore
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import CoreConfig, small_config
-from repro.core.variants import build_variant
+from repro.engine.registry import build_variant
 from repro.sim.cpu import InOrderCore
 from repro.sim.results import RunResult, arithmetic_mean, geometric_mean, normalize
 from repro.sim.runner import run_experiment, run_variants
