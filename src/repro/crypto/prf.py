@@ -24,6 +24,11 @@ class Prf:
             raise ValueError(f"digest size must be in [1, 64], got {digest_size}")
         self._key = key[:64]  # BLAKE2b keyed mode allows at most 64 key bytes.
         self._digest_size = digest_size
+        # The keyed, sized BLAKE2b state is built once; every evaluation
+        # copies it and feeds the message.  The digests are those of a
+        # fresh ``blake2b(message, key=..., digest_size=...)``, without
+        # re-running the parameter-block and key setup per call.
+        self._base = hashlib.blake2b(key=self._key, digest_size=digest_size)
 
     @property
     def digest_size(self) -> int:
@@ -31,7 +36,8 @@ class Prf:
 
     def evaluate(self, message: bytes) -> bytes:
         """PRF output for ``message``."""
-        h = hashlib.blake2b(message, key=self._key, digest_size=self._digest_size)
+        h = self._base.copy()
+        h.update(message)
         return h.digest()
 
     def keystream(self, nonce: bytes, length: int) -> bytes:
@@ -48,23 +54,22 @@ class Prf:
             raise ValueError(f"keystream length must be >= 0, got {length}")
         if length == 0:
             return b""
-        blake2b = hashlib.blake2b
-        key = self._key
+        copy = self._base.copy
         digest_size = self._digest_size
         if length <= digest_size:
             # One digest covers the request (the common case for headers
             # and MAC-sized outputs): no buffer assembly at all.
-            digest = blake2b(
-                nonce + _COUNTER0, key=key, digest_size=digest_size
-            ).digest()
+            h = copy()
+            h.update(nonce + _COUNTER0)
+            digest = h.digest()
             return digest if length == digest_size else digest[:length]
         out = bytearray(length)  # preallocated; no quadratic regrowth
         pos = 0
         counter = 0
         while pos < length:
-            block = blake2b(
-                nonce + counter.to_bytes(8, "little"), key=key, digest_size=digest_size
-            ).digest()
+            h = copy()
+            h.update(nonce + counter.to_bytes(8, "little"))
+            block = h.digest()
             take = length - pos
             if take >= digest_size:
                 out[pos : pos + digest_size] = block
@@ -80,41 +85,37 @@ class Prf:
 
         Byte-identical to ``[self.keystream(n, length) for n in nonces]``
         (the frozen per-counter digest wire format is untouched); the win
-        is amortization: the BLAKE2b constructor, key, digest size and the
-        LE64 counter encodings are bound once for the whole batch instead
-        of once per block.  This is the primitive behind the path-batched
+        is amortization: the keyed state's ``copy`` and the LE64 counter
+        encodings are bound once for the whole batch instead of once per
+        block.  This is the primitive behind the path-batched
         codec pass (:meth:`repro.oram.block.BlockCodec.encode_path`).
         """
         if length < 0:
             raise ValueError(f"keystream length must be >= 0, got {length}")
         if length == 0:
             return [b"" for _ in nonces]
-        blake2b = hashlib.blake2b
-        key = self._key
+        copy = self._base.copy
         digest_size = self._digest_size
+        streams = []
+        append = streams.append
         if length <= digest_size:
             # Single-digest fast path for the whole batch (headers, MACs).
-            if length == digest_size:
-                return [
-                    blake2b(nonce + _COUNTER0, key=key, digest_size=digest_size).digest()
-                    for nonce in nonces
-                ]
-            return [
-                blake2b(nonce + _COUNTER0, key=key, digest_size=digest_size).digest()[
-                    :length
-                ]
-                for nonce in nonces
-            ]
+            for nonce in nonces:
+                h = copy()
+                h.update(nonce + _COUNTER0)
+                digest = h.digest()
+                append(digest if length == digest_size else digest[:length])
+            return streams
         # Counter suffixes are shared by every nonce in the batch.
         num_blocks = -(-length // digest_size)
         counters = [i.to_bytes(8, "little") for i in range(num_blocks)]
-        streams = []
-        append = streams.append
         for nonce in nonces:
-            out = b"".join(
-                blake2b(nonce + suffix, key=key, digest_size=digest_size).digest()
-                for suffix in counters
-            )
+            parts = []
+            for suffix in counters:
+                h = copy()
+                h.update(nonce + suffix)
+                parts.append(h.digest())
+            out = b"".join(parts)
             append(out[:length] if len(out) != length else out)
         return streams
 

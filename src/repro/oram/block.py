@@ -146,11 +146,6 @@ class BlockCodec:
         """Stored size of one encrypted block."""
         return self._wire_bytes
 
-    def _next_iv(self) -> int:
-        iv = self._iv_counter
-        self._iv_counter += 1
-        return iv
-
     def encode(self, block: Block) -> bytes:
         """Encrypt a block into its wire format with fresh IVs."""
         if len(block.data) != self.block_bytes:
@@ -234,8 +229,16 @@ class BlockCodec:
 
     def _memo_put(self, iv1: int, wire: bytes, block: "Block") -> None:
         memo = self._plain_memo
-        if len(memo) >= self._memo_capacity:
-            memo.pop(next(iter(memo)))
+        capacity = self._memo_capacity
+        if len(memo) >= capacity:
+            # IV1s arrive strictly increasing and exactly two apart (encode
+            # and encode_path are the only writers of the counter, and both
+            # insert every block), so the oldest key is computed, not found:
+            # ``next(iter(memo))`` would rescan every deleted slot at the
+            # front of the dict's table, O(evictions since its last
+            # compaction) per insert.  The strict pop raises if the
+            # invariant ever breaks.
+            memo.pop(iv1 - 2 * capacity)
         memo[iv1] = (wire, block.address, block.path_id, block.data, block.version)
 
     def decode(self, wire: bytes) -> Block:

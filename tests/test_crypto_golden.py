@@ -110,6 +110,61 @@ class TestBlockCodecGolden:
         assert codec.wire_bytes == 120
 
 
+def _reference_digest(message: bytes, key: bytes, digest_size: int) -> bytes:
+    """A fresh keyed BLAKE2b per call: the PRF's definition."""
+    return hashlib.blake2b(message, key=key[:64], digest_size=digest_size).digest()
+
+
+def _reference_keystream(key: bytes, digest_size: int, nonce: bytes, length: int) -> bytes:
+    blocks = -(-length // digest_size)
+    return b"".join(
+        _reference_digest(nonce + i.to_bytes(8, "little"), key, digest_size)
+        for i in range(blocks)
+    )[:length]
+
+
+_DIGEST_SIZES = (8, 16, 32)  # wear leveling, Merkle tree, CTR cipher
+_KEYS = (b"k", b"K" * 32, bytes(range(64)), bytes(range(100)))
+
+
+class TestPrfMatchesReference:
+    """The PRF reuses one pre-keyed BLAKE2b state per instance; every
+    output must equal a freshly keyed ``hashlib.blake2b`` call."""
+
+    @pytest.mark.parametrize("digest_size", _DIGEST_SIZES)
+    @pytest.mark.parametrize("key", _KEYS, ids=lambda k: f"key{len(k)}")
+    def test_evaluate(self, key, digest_size):
+        prf = Prf(key, digest_size=digest_size)
+        for message in (b"", b"m", bytes(digest_size), bytes(range(200))):
+            assert prf.evaluate(message) == _reference_digest(message, key, digest_size)
+
+    @pytest.mark.parametrize("digest_size", _DIGEST_SIZES)
+    @pytest.mark.parametrize("key", _KEYS, ids=lambda k: f"key{len(k)}")
+    def test_keystream_and_keystream_many(self, key, digest_size):
+        prf = Prf(key, digest_size=digest_size)
+        nonces = [i.to_bytes(16, "little") for i in (0, 1, 2**64 + 3)]
+        for length in (0, digest_size - 3, digest_size, digest_size + 1,
+                       3 * digest_size + 5):
+            expected = [_reference_keystream(key, digest_size, n, length) for n in nonces]
+            assert [prf.keystream(n, length) for n in nonces] == expected
+            assert prf.keystream_many(nonces, length) == expected
+
+    @pytest.mark.parametrize("digest_size", _DIGEST_SIZES)
+    def test_derived_children(self, digest_size):
+        key = bytes(range(100))
+        parent = Prf(key, digest_size=digest_size)
+        for label in ("ctr-keystream", "ctr-mac", "merkle"):
+            child_key = _reference_digest(label.encode("utf-8"), key, 32)
+            child = parent.derive(label)
+            assert child.evaluate(b"x") == _reference_digest(b"x", child_key, digest_size)
+            assert child.keystream(b"nonce", 2 * digest_size) == _reference_keystream(
+                child_key, digest_size, b"nonce", 2 * digest_size
+            )
+            assert child.derive("again").evaluate(b"y") == _reference_digest(
+                b"y", _reference_digest(b"again", child_key, 32), digest_size
+            )
+
+
 class TestBatchedCryptoGolden:
     """The path-batched crypto must be byte-identical to the looped form."""
 

@@ -158,6 +158,49 @@ class TestProtocolMechanisms:
         assert backups_resident <= 2
 
 
+class TestStashResidentWrite:
+    """A write to a stash-resident block whose live copy is placed on the
+    eviction path next to its backup (no crash involved).
+
+    The write graduates the block's pending label onto the backup and
+    also commits the live copy's fresh label in the same eviction; the
+    PosMap must end at the fresh label.  If the graduated label wins, a
+    later path read covering both copies drops the live copy as stale
+    and the next read of the block cold-misses to zeros.
+    """
+
+    @pytest.mark.parametrize("variant", ["ps", "naive-ps"])
+    def test_write_survives_access_to_old_path(self, variant):
+        controller = build_variant(variant, small_config(height=4, seed=1))
+        n = controller.oram_config.num_logical_blocks
+        for address in range(n):
+            controller.write(address, b"init-%d" % address)
+        for step in range(200):
+            address = (step * 7) % n
+            controller.read(address)
+            if (controller.stash.find(address) is None
+                    or address not in controller.temp_posmap):
+                continue  # not stash-resident with a pending label
+            data = b"new-%d" % step
+            result = controller.write(address, data)
+            if controller.stash.find(address) is not None:
+                continue  # the live copy stayed in the stash
+            old_path = result.old_path
+            assert controller.posmap.get(address) == result.new_path
+            neighbours = [
+                other for other in range(n)
+                if other != address
+                and controller.stash.find(other) is None
+                and controller._position_of(other) == old_path
+            ]
+            if not neighbours:
+                continue
+            controller.read(neighbours[0])  # fetches the old path
+            assert controller.read(address).data.rstrip(b"\x00") == data
+            return
+        pytest.fail("scenario not reached; pick another seed")
+
+
 class TestDirtyEntryPersistence:
     def test_persist_traffic_is_small_fraction(self, ps):
         rng = DeterministicRNG(5)
