@@ -100,6 +100,37 @@ class TestDurability:
         for addr, want in model.items():
             assert rcr_ps.read(addr).data == want
 
+    def test_intent_repair_survives_a_second_crash(self):
+        """A repair made by recovery must be durable on its own.
+
+        Crash right after an acknowledged write whose live copy is still
+        stash-resident: the posmap tree already holds the new path, and
+        recovery repairs the entry to the backup's old path from the intent
+        log.  Once later remaps have reused every intent slot, a second
+        crash rebuilds the PosMap from the posmap tree alone, so the repair
+        must have reached the tree too.
+        """
+        rcr = RcrPSORAMController(small_config(height=4, seed=1))
+        n = rcr.oram_config.num_logical_blocks
+        rng = DeterministicRNG(1)
+        for i in range(200):
+            address = rng.randrange(n)
+            data = b"v%d" % i
+            rcr.write(address, data)
+            if rcr.stash.find(address) is not None:
+                break
+        else:
+            pytest.fail("no write left its block in the stash; pick another seed")
+        rcr.crash()
+        assert rcr.recover()
+        assert rcr.stats.get("intents_repaired") == 1
+        others = [other for other in range(n) if other != address]
+        for j in range(rcr.intent_log.slots):
+            rcr.read(others[j % len(others)])
+        rcr.crash()
+        assert rcr.recover()
+        assert rcr.read(address).data.rstrip(b"\x00") == data
+
     def test_intent_repair_after_posmap_data_window_crash(self, rcr_ps):
         """Crash after the posmap tree learned l' but before data followed."""
         from repro.errors import SimulatedCrash
