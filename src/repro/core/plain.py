@@ -80,13 +80,10 @@ class PlainNVMController(AccessEngine):
             )
             result = payload
         else:
-            request = self.memory.issue(
+            complete = self.memory.issue(
                 line_address, Access.READ, mem_start, RequestKind.PLAIN
             )
-            complete = request.complete_cycle
-            self.now = self.clock.mem_to_core(
-                complete if complete is not None else mem_start
-            )
+            self.now = self.clock.mem_to_core(complete)
             stored = self.memory.load_line(line_address)
             result = stored if stored is not None else bytes(self.oram_config.block_bytes)
         return AccessResult(

@@ -74,11 +74,9 @@ class IntentLog:
         )
         line = self.base + self._cursor * self.line_bytes
         self._cursor = (self._cursor + 1) % self.slots
-        request = self.memory.issue(
+        return self.memory.issue(
             line, Access.WRITE, now_mem, RequestKind.PERSIST, data=record
         )
-        complete = request.complete_cycle
-        return complete if complete is not None else now_mem
 
     def records(self) -> List[Tuple[int, int, int, int]]:
         """All persisted records as (seq, address, old_path, new_path)."""

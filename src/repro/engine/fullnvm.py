@@ -74,14 +74,13 @@ class FullNVMPolicy(VolatilePolicy):
             slot = (self._stash_slot_cursor + i) % max(
                 1, c.oram_config.stash_capacity
             )
-            request = c.onchip.issue(
+            complete = c.onchip.issue(
                 slot * c.oram_config.block_bytes,
                 access,
                 mem_start,
                 RequestKind.ONCHIP_NVM,
             )
-            complete = request.complete_cycle
-            if complete is not None and complete > finish:
+            if complete > finish:
                 finish = complete
         self._stash_slot_cursor += count
         c.now = c.clock.mem_to_core(finish)

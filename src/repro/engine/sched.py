@@ -42,8 +42,7 @@ earliest cycle its hazards allow:
   per-request occupancy but serve requests by *arrival time* instead of
   by Python call order — a younger fetch's lines land in the idle gaps
   under an older access's still-queued write-back, interleaving across
-  channels exactly as the per-channel ``next_free_cycle`` queries
-  report.
+  channels as each channel's bus calendar allows.
 
 **Speculative posmap lookahead** (``lookahead=True``, the default)
 models pre-resolving the next request's leaf while the previous access
@@ -60,9 +59,8 @@ PosMap, and NVM image are byte-identical to window 1 — only the cycle
 each access is launched at (and, under segment floors, the arrival of
 its per-level fetch groups) changes.  The interval calendars make the
 early launch sound: a request arriving while a resource is busy still
-waits its turn, and in-order (monotone-arrival) traffic is
-cycle-identical to the watermark model, which is why every window-1
-timing digest is unchanged.
+waits its turn.  Window 1 never enables them, which is why every
+window-1 timing digest is unchanged.
 
 Crash semantics are preserved by the same property.  Every crash point
 fires inside one access's serial execution, when all older accesses
@@ -89,7 +87,6 @@ class _Inflight:
         "path",
         "fetch_finish",
         "finish",
-        "channel_free",
         "wb_release",
     )
 
@@ -99,14 +96,12 @@ class _Inflight:
         path: int,
         fetch_finish: int,
         finish: int,
-        channel_free: tuple,
         wb_release: tuple,
     ):
         self.address = address
         self.path = path
         self.fetch_finish = fetch_finish
         self.finish = finish
-        self.channel_free = channel_free
         #: Per-level mem cycle at which this access's write-back released
         #: each tree bucket segment (root-first); empty when the policy
         #: reported none (ring write points, stash hits) — the scheduler
@@ -197,9 +192,9 @@ class WindowScheduler:
         self._c_hazard_segment = stats.counter("sched_hazard_segment")
         self._c_lookahead = stats.counter("sched_lookahead_hits")
         if window > 1:
-            # Interval (gap-fill) bank/bus scheduling: cycle-identical
-            # for in-order traffic, but lets a rewound younger fetch use
-            # bank/bus idle gaps under an older write-back.
+            # Interval (gap-fill) bank/bus scheduling lets a rewound
+            # younger fetch use bank/bus idle gaps under an older
+            # write-back.
             enable = getattr(getattr(controller, "memory", None), "enable_overlap", None)
             if enable is not None:
                 enable()
@@ -388,7 +383,6 @@ class WindowScheduler:
                 result.old_path,
                 result.fetch_finish_cycle,
                 result.finish_cycle,
-                result.fetch_channel_free,
                 result.writeback_level_release,
             )
         )

@@ -63,9 +63,8 @@ class _HybridTree(ORAMTree):
             for slot in range(self.z):
                 address = self.region.slot_address(b_idx, slot)
                 target = self.dram if self.treetop.is_dram(address) else self.memory
-                request = target.issue(address, Access.READ, arrival, self.kind)
-                complete = request.complete_cycle
-                if complete is not None and complete > level_finish:
+                complete = target.issue(address, Access.READ, arrival, self.kind)
+                if complete > level_finish:
                     level_finish = complete
                 blocks.append(self.load_slot(b_idx, slot))
             spans.append((arrival, level_finish))

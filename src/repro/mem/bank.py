@@ -5,7 +5,7 @@ A bank services one request at a time.  The model keeps a single
 bank then stays occupied for the device's service time plus the
 command-to-command gap.
 
-Two scheduling modes share the same interface:
+Two scheduling modes:
 
 * **watermark** (default) — one ``busy_until`` cursor; a request is
   serviced no earlier than the end of the *last-scheduled* request, even
@@ -25,9 +25,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from typing import List, Optional
-
-from repro.mem.device import DeviceTimingModel
-from repro.mem.request import Access
 
 #: Busy-interval calendars are pruned to this many intervals; the oldest
 #: two intervals merge (treating the gap between them as busy), which is
@@ -93,13 +90,16 @@ def reserve_interval(calendar: List[int], arrival: int, span: int) -> int:
 
 
 class Bank:
-    """One NVM bank with a busy-until watermark (or interval calendar)."""
+    """One NVM bank's occupancy: a busy-until watermark or interval calendar.
 
-    __slots__ = ("index", "_device", "busy_until", "serviced", "intervals")
+    The arithmetic lives in :meth:`NVMMainMemory.issue_physical`; a bank is
+    the state it reads and advances.
+    """
 
-    def __init__(self, index: int, device: DeviceTimingModel):
+    __slots__ = ("index", "busy_until", "serviced", "intervals")
+
+    def __init__(self, index: int):
         self.index = index
-        self._device = device
         self.busy_until = 0
         self.serviced = 0
         #: ``None`` = watermark mode; a flat boundary list = interval
@@ -110,36 +110,6 @@ class Bank:
         """Switch to interval scheduling (idempotent; keeps current state)."""
         if self.intervals is None:
             self.intervals = [0, self.busy_until] if self.busy_until else []
-
-    def service_span(self, arrival_cycle: int, service_cycles: int, gap_cycles: int) -> int:
-        """Occupy the bank for ``service + gap`` cycles; returns completion.
-
-        The hoisted-timing variant of :meth:`service` used by the batched
-        path issue, where the device timings are looked up once per burst.
-        """
-        span = service_cycles + gap_cycles
-        if self.intervals is None:
-            start = arrival_cycle if arrival_cycle >= self.busy_until else self.busy_until
-            self.busy_until = start + span
-        else:
-            start = reserve_interval(self.intervals, arrival_cycle, span)
-            if start + span > self.busy_until:
-                self.busy_until = start + span
-        self.serviced += 1
-        return start + service_cycles
-
-    def service(self, arrival_cycle: int, access: Access) -> int:
-        """Service a request arriving at ``arrival_cycle``.
-
-        Returns the cycle at which the request completes (data returned for a
-        read, data accepted into the array for a write).  Advances the bank's
-        busy watermark.
-        """
-        return self.service_span(
-            arrival_cycle,
-            self._device.service_cycles(access),
-            self._device.min_gap_cycles(),
-        )
 
     def reset(self) -> None:
         """Clear timing state (bank contents are in the backing store)."""

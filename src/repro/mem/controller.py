@@ -9,6 +9,10 @@ drift from the protocol that produced them.
 Address-to-channel mapping is line interleaving, the standard layout for
 bandwidth-sharing ORAM systems (Wang et al., HPCA'17, as cited by the
 paper).
+
+:meth:`NVMMainMemory.issue_physical` is the one timing kernel.  Observers
+and address-translation layers attach through the ``line_observer``,
+``bus_tap`` and ``remap`` attributes (docs/PERF.md, "One timing kernel").
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from repro.config import NVMTimingConfig
 from repro.mem.bank import MAX_BOUNDARIES, reserve_interval
 from repro.mem.channel import Channel
 from repro.mem.device import DeviceTimingModel
-from repro.mem.request import Access, MemoryRequest, RequestKind
+from repro.mem.request import Access, RequestKind
 from repro.mem.traffic import TrafficMeter
 
 
@@ -47,7 +51,7 @@ class NVMMainMemory:
         self.device = DeviceTimingModel(timing)
         self.line_bytes = line_bytes
         self.channels: List[Channel] = [
-            Channel(i, self.device, banks_per_channel) for i in range(channels)
+            Channel(i, banks_per_channel) for i in range(channels)
         ]
         self.traffic = TrafficMeter(line_bytes, track_wear=track_wear)
         self.energy_pj = 0.0
@@ -57,22 +61,35 @@ class NVMMainMemory:
         # Functional image: line address -> bytes. Sparse, so a 4GB
         # configured capacity costs nothing until written.
         self._image: Dict[int, bytes] = {}
-        #: Optional hook called with the byte address after every
-        #: functional line store (store_line and the issue_path write
-        #: fast path alike).  The integrity domain registers here to keep
-        #: leaf MACs current without monkey-patching the store methods.
+        #: Optional hook called with the physical byte address after every
+        #: functional line store (store_line and kernel writes that carry
+        #: data alike).  The integrity domain registers here to keep leaf
+        #: MACs current.
         self.line_observer: Optional[Callable[[int], None]] = None
+        #: Optional hook called once per timed burst with the physical line
+        #: byte addresses, the access type and the request kind: what a bus
+        #: snooper sees (``security.BusObserver``).  It observes only.
+        self.bus_tap: Optional[Callable[[List[int], Access, RequestKind], None]] = None
+        #: Optional address-translation layer (``mem.wearlevel``'s
+        #: Start-Gap).  It provides ``translate(address)``, which
+        #: :meth:`store_line` and :meth:`load_line` apply, and
+        #: ``issue_path(...)``, which :meth:`issue_path` hands bursts to.
+        self.remap = None
 
     # -- functional store -----------------------------------------------------
 
     def store_line(self, address: int, data: bytes) -> None:
         """Write the functional content of one line (no timing)."""
+        if self.remap is not None:
+            address = self.remap.translate(address)
         self._image[address // self.line_bytes] = bytes(data)
         if self.line_observer is not None:
             self.line_observer(address)
 
     def load_line(self, address: int) -> Optional[bytes]:
         """Read the functional content of one line (no timing)."""
+        if self.remap is not None:
+            address = self.remap.translate(address)
         return self._image.get(address // self.line_bytes)
 
     def written_lines(self, base: int, size_bytes: int) -> List[int]:
@@ -102,9 +119,11 @@ class NVMMainMemory:
     def enable_overlap(self) -> None:
         """Switch dispatch, banks and buses to interval (gap-fill) scheduling.
 
-        Idempotent.  Cycle-identical for in-order traffic (monotone
-        arrivals never land before a watermark); only the window
-        scheduler's rewound arrivals can exploit the idle gaps.  Every
+        Idempotent.  Cycle-identical wherever each stage sees monotone
+        arrivals (a monotone arrival never lands before a watermark): the
+        window scheduler's rewound arrivals exploit the idle gaps, and so
+        does a line whose idle bank finishes before an earlier line's busy
+        one, whose burst may then take a bus gap the watermark skips.  Every
         stage keeps its full occupancy (one command per
         ``DISPATCH_CYCLES``, one burst per bus slot, one request per
         bank), so contention still serializes — just by arrival time
@@ -118,15 +137,6 @@ class NVMMainMemory:
         for channel in self.channels:
             channel.enable_overlap()
 
-    def channel_for(self, address: int) -> Channel:
-        """Line-interleaved channel mapping (line index modulo channels)."""
-        line = address // self.line_bytes
-        return self.channels[line % len(self.channels)]
-
-    def local_line(self, address: int) -> int:
-        """Channel-local line index for bank striping."""
-        return (address // self.line_bytes) // len(self.channels)
-
     def issue(
         self,
         address: int,
@@ -134,40 +144,19 @@ class NVMMainMemory:
         arrival_cycle: int,
         kind: RequestKind = RequestKind.DATA_PATH,
         data: Optional[bytes] = None,
-    ) -> MemoryRequest:
-        """Issue one timed line access; returns the completed request.
+    ) -> int:
+        """Issue one timed line access; returns its completion cycle.
 
-        For writes, ``data`` (if given) updates the functional image.  For
-        reads the caller fetches content via :meth:`load_line` — the timing
-        and functional layers share the address, so there is no coherence
-        issue.
+        The one-line case of :meth:`issue_path`.  For writes, ``data`` (if
+        given) updates the functional image.  For reads the caller fetches
+        content via :meth:`load_line` — the timing and functional layers
+        share the address, so there is no coherence issue.
         """
-        request = MemoryRequest(
-            address=address, access=access, kind=kind, size_bytes=self.line_bytes
+        if address < 0:
+            raise ValueError(f"address must be >= 0, got {address}")
+        return self.issue_path(
+            [address], access, arrival_cycle, kind, None if data is None else [data]
         )
-        request.issue_cycle = arrival_cycle
-        # Front-end dispatch is a shared stage across channels.
-        if self._overlap:
-            dispatched = reserve_interval(
-                self._dispatch_intervals, arrival_cycle, self.DISPATCH_CYCLES
-            )
-            if dispatched + self.DISPATCH_CYCLES > self._dispatch_free_at:
-                self._dispatch_free_at = dispatched + self.DISPATCH_CYCLES
-        else:
-            dispatched = max(arrival_cycle, self._dispatch_free_at)
-            self._dispatch_free_at = dispatched + self.DISPATCH_CYCLES
-        line = address // self.line_bytes
-        channel = self.channels[line % len(self.channels)]
-        request.complete_cycle = channel.service(
-            request, dispatched, line // len(self.channels)
-        )
-        self.traffic.record(request)
-        self.energy_pj += self.device.energy_pj(access)
-        if access is Access.WRITE and data is not None:
-            old = self._image.get(line)
-            self.traffic.record_cell_flips(old or b"", data)
-            self.store_line(address, data)
-        return request
 
     def issue_path(
         self,
@@ -179,28 +168,33 @@ class NVMMainMemory:
     ) -> int:
         """Issue a burst of same-kind line accesses; returns the last completion.
 
-        Cycle-, counter-, and energy-identical to calling :meth:`issue` once
-        per address in order — the dispatch/bank/bus watermark math is the
-        same, just without a :class:`MemoryRequest` allocation per line.
         This is the memory-side half of the path-batched access: one call
         covers a whole ORAM path (or a drainer round's data burst).
         ``datas`` (writes only) carries the functional content per line;
-        ``None`` entries are timing-only writes.
+        ``None`` entries are timing-only writes.  With an address
+        translation layer attached (:attr:`remap`), the layer takes the
+        burst and times each translated line through
+        :meth:`issue_physical`.
         """
-        if "issue" in self.__dict__:
-            # An address-translation layer (start-gap wear leveling) has
-            # tapped issue() on this instance; route every line through it
-            # so the batched path sees the same physical remapping.
-            finish = arrival_cycle
-            for i, address in enumerate(addresses):
-                request = self.issue(
-                    address, access, arrival_cycle, kind,
-                    data=None if datas is None else datas[i],
-                )
-                complete = request.complete_cycle
-                if complete is not None and complete > finish:
-                    finish = complete
-            return finish
+        if self.remap is not None:
+            return self.remap.issue_path(addresses, access, arrival_cycle, kind, datas)
+        return self.issue_physical(addresses, access, arrival_cycle, kind, datas)
+
+    def issue_physical(
+        self,
+        addresses: List[int],
+        access: Access,
+        arrival_cycle: int,
+        kind: RequestKind = RequestKind.DATA_PATH,
+        datas: Optional[List[Optional[bytes]]] = None,
+    ) -> int:
+        """The timing kernel: a burst at physical (untranslated) addresses.
+
+        Per line: shared front-end dispatch, then the line's bank for
+        ``service + gap`` cycles, then one data-bus burst on its channel.
+        """
+        if self.bus_tap is not None:
+            self.bus_tap(addresses, access, kind)
         device = self.device
         line_bytes = self.line_bytes
         channels = self.channels
@@ -230,8 +224,7 @@ class NVMMainMemory:
             if overlap:
                 # Inline tail-append fast path for the three calendars
                 # (dispatch, bank, bus); reserve_interval only on genuine
-                # mid-calendar (gap-fill) insertions.  Same math as
-                # Bank.service_span / Channel.reserve_burst.
+                # mid-calendar (gap-fill) insertions.
                 if not dispatch_intervals or dispatch_arrival >= dispatch_intervals[-1]:
                     dispatched = dispatch_arrival
                     if dispatch_intervals and dispatch_intervals[-1] == dispatched:
@@ -312,34 +305,6 @@ class NVMMainMemory:
         self._dispatch_free_at = dispatch_free
         self.energy_pj = energy_acc
         traffic.record_burst(access, kind, len(addresses), write_lines if is_write else None)
-        return finish
-
-    def next_free_cycles(self) -> List[int]:
-        """Per-channel earliest-issue cycles (index-aligned with ``channels``).
-
-        The scheduler's hazard/overlap logic reads these to decide how far
-        a younger access's fetch can slide under an older write-back.
-        """
-        return [channel.bus_free_at for channel in self.channels]
-
-    def access_batch(
-        self,
-        addresses: List[int],
-        access: Access,
-        arrival_cycle: int,
-        kind: RequestKind = RequestKind.DATA_PATH,
-    ) -> int:
-        """Issue a batch of same-type accesses; returns the last completion cycle.
-
-        The batch is issued back-to-back so channel/bank overlap is
-        exploited exactly as a burst path read/write would be.
-        """
-        finish = arrival_cycle
-        for address in addresses:
-            request = self.issue(address, access, arrival_cycle, kind)
-            complete = request.complete_cycle
-            if complete is not None and complete > finish:
-                finish = complete
         return finish
 
     # -- maintenance ---------------------------------------------------------

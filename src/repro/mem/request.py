@@ -1,11 +1,8 @@
-"""Memory request types exchanged between the ORAM controller and the NVM."""
+"""The labels a memory request carries: its access type and its purpose."""
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Optional
 
 
 class Access(enum.Enum):
@@ -32,40 +29,3 @@ class RequestKind(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return self.value
-
-
-_request_ids = itertools.count()
-
-
-@dataclass
-class MemoryRequest:
-    """One line-sized (64B by default) access to the memory system."""
-
-    address: int
-    access: Access
-    kind: RequestKind = RequestKind.DATA_PATH
-    size_bytes: int = 64
-    request_id: int = field(default_factory=lambda: next(_request_ids))
-    issue_cycle: Optional[int] = None
-    complete_cycle: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.address < 0:
-            raise ValueError(f"address must be >= 0, got {self.address}")
-        if self.size_bytes <= 0:
-            raise ValueError(f"size must be positive, got {self.size_bytes}")
-
-    @property
-    def is_read(self) -> bool:
-        return self.access is Access.READ
-
-    @property
-    def is_write(self) -> bool:
-        return self.access is Access.WRITE
-
-    @property
-    def latency(self) -> Optional[int]:
-        """Cycles from issue to completion, if both are known."""
-        if self.issue_cycle is None or self.complete_cycle is None:
-            return None
-        return self.complete_cycle - self.issue_cycle

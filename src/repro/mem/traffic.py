@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict
 
-from repro.mem.request import Access, MemoryRequest, RequestKind
+from repro.mem.request import Access, RequestKind
 
 
 class TrafficMeter:
@@ -59,22 +59,9 @@ class TrafficMeter:
         """Fraction of written bits that actually flipped cells."""
         return self.bits_flipped / self.bits_written if self.bits_written else 0.0
 
-    def record(self, request: MemoryRequest) -> None:
-        """Account one serviced request."""
-        if request.access is Access.READ:
-            self.reads[request.kind] += 1
-            self.read_bytes += request.size_bytes
-        else:
-            self.writes[request.kind] += 1
-            self.write_bytes += request.size_bytes
-            if self.track_wear:
-                self._line_writes[request.address // self.line_bytes] += 1
-
     def record_burst(self, access: Access, kind: RequestKind, count: int, write_lines=None) -> None:
         """Account ``count`` same-kind line requests in one call.
 
-        Counter-identical to ``count`` calls to :meth:`record` (all the
-        affected tallies are integers, so aggregation order is immaterial).
         ``write_lines`` supplies the line indices for wear tracking on
         write bursts.
         """

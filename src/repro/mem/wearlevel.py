@@ -14,19 +14,19 @@ Mapping (the MICRO'09 formulation): logical line ``i`` lives at
 else ``addr + 1``.  The gap walks downward; each full sweep increments
 ``start``, so over time every logical line visits every physical slot.
 
-:class:`StartGapRemapper` interposes on an :class:`NVMMainMemory` the same
-way the bus observer does — controllers above it are oblivious to the
-remapping (including, pleasingly, the ORAM controller: wear leveling below
-ORAM is sound because ORAM's addresses are already data-independent).
+:class:`StartGapRemapper` attaches as the memory's ``remap`` layer —
+controllers above it are oblivious to the remapping (including,
+pleasingly, the ORAM controller: wear leveling below ORAM is sound because
+ORAM's addresses are already data-independent).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.crypto.prf import Prf
 from repro.mem.controller import NVMMainMemory
-from repro.mem.request import Access, MemoryRequest, RequestKind
+from repro.mem.request import Access, RequestKind
 from repro.util.stats import StatSet
 
 
@@ -99,6 +99,8 @@ class StartGapRemapper:
             raise ValueError(f"gap period must be >= 1, got {gap_period}")
         if base % memory.line_bytes != 0:
             raise ValueError("region base must be line-aligned")
+        if memory.remap is not None:
+            raise ValueError("memory already has an address-translation layer")
         self.memory = memory
         self.base = base
         self.num_lines = num_lines
@@ -108,12 +110,7 @@ class StartGapRemapper:
         self._writes_since_move = 0
         self._randomizer = FeistelPermutation(num_lines) if randomize else None
         self.stats = StatSet("startgap")
-        self._original_access = memory.issue
-        self._original_store = memory.store_line
-        self._original_load = memory.load_line
-        memory.issue = self._tapped_access  # type: ignore[assignment]
-        memory.store_line = self._tapped_store  # type: ignore[assignment]
-        memory.load_line = self._tapped_load  # type: ignore[assignment]
+        memory.remap = self
 
     # -- mapping --------------------------------------------------------------
 
@@ -127,7 +124,8 @@ class StartGapRemapper:
         addr = (logical_line + self.start) % self.num_lines
         return addr if addr < self.gap else addr + 1
 
-    def _translate(self, address: int) -> int:
+    def translate(self, address: int) -> int:
+        """Logical byte address -> physical (identity outside the region)."""
         if not self._in_region(address):
             return address
         line_bytes = self.memory.line_bytes
@@ -135,36 +133,37 @@ class StartGapRemapper:
         offset = address % line_bytes
         return self.base + self.physical_line(logical) * line_bytes + offset
 
-    # -- interposition -----------------------------------------------------------
+    # -- the memory's remap hooks ------------------------------------------------
 
-    def _tapped_access(
+    def issue_path(
         self,
-        address: int,
+        addresses: List[int],
         access: Access,
         arrival_cycle: int,
         kind: RequestKind = RequestKind.DATA_PATH,
-        data: Optional[bytes] = None,
-    ) -> MemoryRequest:
-        translated = self._translate(address)
-        # The original access would store through the (patched) store_line
-        # and translate a second time; store at the physical address
-        # directly instead.
-        request = self._original_access(translated, access, arrival_cycle, kind)
-        if access is Access.WRITE and data is not None:
-            self._original_store(translated, data)
-        if access is Access.WRITE and self._in_region(address):
-            self._writes_since_move += 1
-            if self._writes_since_move >= self.gap_period:
-                self._writes_since_move = 0
-                complete = request.complete_cycle
-                self._move_gap(complete if complete is not None else arrival_cycle)
-        return request
+        datas: Optional[List[Optional[bytes]]] = None,
+    ) -> int:
+        """Time a burst line by line at its physical addresses.
 
-    def _tapped_store(self, address: int, data: bytes) -> None:
-        self._original_store(self._translate(address), data)
-
-    def _tapped_load(self, address: int) -> Optional[bytes]:
-        return self._original_load(self._translate(address))
+        Line by line because a gap move part-way through the burst changes
+        the mapping of the lines after it.
+        """
+        memory = self.memory
+        is_write = access is Access.WRITE
+        finish = arrival_cycle
+        for i, address in enumerate(addresses):
+            complete = memory.issue_physical(
+                [self.translate(address)], access, arrival_cycle, kind,
+                None if datas is None else [datas[i]],
+            )
+            if complete > finish:
+                finish = complete
+            if is_write and self._in_region(address):
+                self._writes_since_move += 1
+                if self._writes_since_move >= self.gap_period:
+                    self._writes_since_move = 0
+                    self._move_gap(complete)
+        return finish
 
     # -- the gap walk ----------------------------------------------------------------
 
@@ -190,25 +189,24 @@ class StartGapRemapper:
             self.gap -= 1
         source_address = self.base + source_physical * line_bytes
         dest_address = self.base + dest_physical * line_bytes
-        content = self._original_load(source_address)
-        # One extra read + write of real traffic: the leveling cost.
-        self._original_access(source_address, Access.READ, cycle, RequestKind.PLAIN)
-        self._original_access(dest_address, Access.WRITE, cycle, RequestKind.PLAIN)
-        if content is not None:
-            self._original_store(dest_address, content)
-        else:
+        memory = self.memory
+        content = memory._image.get(source_address // line_bytes)
+        # One extra read + write of real traffic: the leveling cost.  The
+        # copy is a real line write, so DCW counts its cell flips too.
+        memory.issue_physical([source_address], Access.READ, cycle, RequestKind.PLAIN)
+        memory.issue_physical([dest_address], Access.WRITE, cycle, RequestKind.PLAIN, [content])
+        if content is None:
             # The source held nothing; the stale content of the new gap's
             # slot must not shadow the (empty) line now mapped here.
-            self.memory._image.pop(dest_address // line_bytes, None)
+            memory._image.pop(dest_address // line_bytes, None)
         self.stats.counter("gap_moves").add()
 
     # -- teardown -------------------------------------------------------------------
 
     def detach(self) -> None:
         """Stop remapping (for tests; real hardware never detaches)."""
-        self.memory.issue = self._original_access  # type: ignore[assignment]
-        self.memory.store_line = self._original_store  # type: ignore[assignment]
-        self.memory.load_line = self._original_load  # type: ignore[assignment]
+        if self.memory.remap is self:
+            self.memory.remap = None
 
 
 def attach_wear_leveling(controller, gap_period: int = 100) -> StartGapRemapper:

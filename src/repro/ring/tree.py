@@ -106,18 +106,13 @@ class RingBucketStore:
 
     def read_metadata_timed(self, bucket_idx: int, mem_cycle: int) -> Tuple[BucketMetadata, int]:
         address = self.layout.metadata_address(bucket_idx)
-        request = self.memory.issue(address, Access.READ, mem_cycle, RequestKind.DATA_PATH)
-        complete = request.complete_cycle
-        return self.load_metadata(bucket_idx), (
-            complete if complete is not None else mem_cycle
-        )
+        complete = self.memory.issue(address, Access.READ, mem_cycle, RequestKind.DATA_PATH)
+        return self.load_metadata(bucket_idx), complete
 
     def write_metadata_timed(self, bucket_idx: int, metadata: BucketMetadata,
                              mem_cycle: int) -> int:
         address = self.store_metadata(bucket_idx, metadata)
-        request = self.memory.issue(address, Access.WRITE, mem_cycle, RequestKind.DATA_PATH)
-        complete = request.complete_cycle
-        return complete if complete is not None else mem_cycle
+        return self.memory.issue(address, Access.WRITE, mem_cycle, RequestKind.DATA_PATH)
 
     # -- slots ------------------------------------------------------------------
 
@@ -137,18 +132,13 @@ class RingBucketStore:
 
     def read_slot_timed(self, bucket_idx: int, slot: int, mem_cycle: int) -> Tuple[Block, int]:
         address = self.slot_address(bucket_idx, slot)
-        request = self.memory.issue(address, Access.READ, mem_cycle, RequestKind.DATA_PATH)
-        complete = request.complete_cycle
-        return self.load_slot(bucket_idx, slot), (
-            complete if complete is not None else mem_cycle
-        )
+        complete = self.memory.issue(address, Access.READ, mem_cycle, RequestKind.DATA_PATH)
+        return self.load_slot(bucket_idx, slot), complete
 
     def write_slot_timed(self, bucket_idx: int, slot: int, block: Block,
                          mem_cycle: int) -> int:
         address = self.store_slot(bucket_idx, slot, block)
-        request = self.memory.issue(address, Access.WRITE, mem_cycle, RequestKind.DATA_PATH)
-        complete = request.complete_cycle
-        return complete if complete is not None else mem_cycle
+        return self.memory.issue(address, Access.WRITE, mem_cycle, RequestKind.DATA_PATH)
 
     # -- path helpers ---------------------------------------------------------
 

@@ -10,10 +10,10 @@ access sequences are distinguishable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.mem.controller import NVMMainMemory
-from repro.mem.request import Access, MemoryRequest, RequestKind
+from repro.mem.request import Access, RequestKind
 
 
 @dataclass(frozen=True)
@@ -26,30 +26,31 @@ class ObservedAccess:
 
 
 class BusObserver:
-    """Records every request an NVM memory services."""
+    """Records every line the memory's timing kernel puts on the bus.
+
+    It attaches as the memory's ``bus_tap``, so observed traffic is timed
+    by the same code as unobserved traffic.  Addresses are physical: with
+    a wear-leveling layer attached, the translated lines and the layer's
+    gap-move copies.
+    """
 
     def __init__(self, memory: NVMMainMemory):
+        if memory.bus_tap is not None:
+            raise ValueError("memory already has a bus tap")
         self.memory = memory
         self.events: List[ObservedAccess] = []
-        self._original_access = memory.issue
-        memory.issue = self._tap  # type: ignore[assignment]
+        memory.bus_tap = self._tap
 
-    def _tap(
-        self,
-        address: int,
-        access: Access,
-        arrival_cycle: int,
-        kind: RequestKind = RequestKind.DATA_PATH,
-        data: Optional[bytes] = None,
-    ) -> MemoryRequest:
-        self.events.append(
-            ObservedAccess(address, access is Access.WRITE, kind.value)
+    def _tap(self, addresses: List[int], access: Access, kind: RequestKind) -> None:
+        is_write = access is Access.WRITE
+        self.events.extend(
+            ObservedAccess(address, is_write, kind.value) for address in addresses
         )
-        return self._original_access(address, access, arrival_cycle, kind, data)
 
     def detach(self) -> None:
-        """Stop observing (restores the original access method)."""
-        self.memory.issue = self._original_access  # type: ignore[assignment]
+        """Stop observing; idempotent."""
+        if self.memory.bus_tap == self._tap:
+            self.memory.bus_tap = None
 
     def addresses(self) -> List[int]:
         return [event.address for event in self.events]

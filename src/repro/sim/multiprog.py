@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 from repro.config import SystemConfig
 from repro.engine.registry import build_variant
 from repro.mem.controller import NVMMainMemory
-from repro.mem.request import Access, MemoryRequest, RequestKind
+from repro.mem.request import Access, RequestKind
 from repro.util.stats import StatSet
 
 
@@ -46,7 +46,7 @@ class _OffsetMemory:
         arrival_cycle: int,
         kind: RequestKind = RequestKind.DATA_PATH,
         data: Optional[bytes] = None,
-    ) -> MemoryRequest:
+    ) -> int:
         if access is Access.READ:
             self.own_traffic.counter("reads").add()
         else:
@@ -72,9 +72,6 @@ class _OffsetMemory:
             [address + offset for address in addresses],
             access, arrival_cycle, kind, datas,
         )
-
-    def next_free_cycles(self):
-        return self.shared.next_free_cycles()
 
     def store_line(self, address: int, data: bytes) -> None:
         self.shared.store_line(address + self.offset, data)

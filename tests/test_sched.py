@@ -17,8 +17,7 @@ import pytest
 from repro.config import small_config
 from repro.engine.registry import build_variant
 from repro.engine.sched import WindowScheduler
-from repro.mem.bank import MAX_BOUNDARIES, Bank, reserve_interval
-from repro.mem.device import DeviceTimingModel
+from repro.mem.bank import MAX_BOUNDARIES, reserve_interval
 from repro.mem.request import Access
 from repro.util.rng import DeterministicRNG
 
@@ -360,17 +359,31 @@ class TestReserveInterval:
                 assert all(a < b for a, b in zip(calendar, calendar[1:]))
 
     def test_bank_modes_agree_on_monotone_arrivals(self):
-        """Watermark and interval scheduling are cycle-identical in-order."""
+        """Watermark and interval scheduling are cycle-identical in-order.
+
+        One bank per channel keeps every stage's arrivals monotone.  With
+        several banks a later line on an idle bank can finish its bank
+        stage first, and the interval bus then uses the gap a watermark
+        bus skips (``test_mem_model.TestOverlap``).
+        """
         from repro.config import small_config as _cfg
+        from repro.mem.controller import NVMMainMemory
 
         timing = _cfg(height=6).nvm
-        watermark = Bank(0, DeviceTimingModel(timing))
-        interval = Bank(0, DeviceTimingModel(timing))
+        watermark = NVMMainMemory(timing, channels=2, banks_per_channel=1)
+        interval = NVMMainMemory(timing, channels=2, banks_per_channel=1)
         interval.enable_overlap()
         arrival = 0
         rng = random.Random(5)
         for _ in range(200):
             arrival += rng.randrange(0, 120)
             kind = Access.WRITE if rng.randrange(2) else Access.READ
-            assert watermark.service(arrival, kind) == interval.service(arrival, kind)
-            assert watermark.busy_until == interval.busy_until
+            lines = [64 * rng.randrange(64) for _ in range(rng.randrange(1, 6))]
+            assert watermark.issue_path(lines, kind, arrival) == interval.issue_path(
+                lines, kind, arrival
+            )
+            for wm_channel, iv_channel in zip(watermark.channels, interval.channels):
+                assert wm_channel.bus_free_at == iv_channel.bus_free_at
+                assert [bank.busy_until for bank in wm_channel.banks] == [
+                    bank.busy_until for bank in iv_channel.banks
+                ]
