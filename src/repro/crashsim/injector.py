@@ -2,9 +2,11 @@
 
 The PS-ORAM controllers expose ``crash_hook``; this injector arms it to
 raise :class:`~repro.errors.SimulatedCrash` at a chosen checkpoint (or at
-the n-th checkpoint hit, or at a random one), then performs the power-loss
-sequence: unwind, ``crash()`` (ADR flushes committed WPQ rounds, SRAM
-clears), ``recover()``.
+the n-th checkpoint hit, or at a random one).  The power-loss sequence
+that follows — unwind, ``crash()`` (ADR flushes committed WPQ rounds,
+SRAM clears), ``recover()`` — belongs to the caller; the conformance
+round loop (:func:`repro.crashsim.conformance.run_rounds`) runs it and
+checks the result.
 
 This is deterministic, step-addressable power-cutting — strictly more
 thorough than physically pulling the plug, since every window of the
@@ -14,35 +16,10 @@ paper's crash scenarios).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.errors import SimulatedCrash
 from repro.util.rng import DeterministicRNG
-
-#: Checkpoints the PS-ORAM controllers fire, in protocol order.
-CRASH_POINTS = (
-    "step2:before-remap",
-    "step2:after-intent",  # Rcr-PS only
-    "step2:after-remap",
-    "step4:before-backup",
-    "step4:after-backup",
-    "step5:before-start",
-    "step5:round-open",
-    "step5:before-end",
-    "step5:after-end",
-    "step5:after-flush",
-)
-
-
-@dataclass
-class CrashOutcome:
-    """What happened around one injected crash."""
-
-    point: str
-    acknowledged: bool  # did the interrupted access return before the crash?
-    recovered: bool
-    fired: bool  # did the armed crash actually trigger?
 
 
 class CrashInjector:
@@ -78,8 +55,7 @@ class CrashInjector:
         pipeline phase boundaries plus the policy's protocol checkpoints.
         """
         if points is None:
-            getter = getattr(self.controller, "crash_points", None)
-            points = list(getter()) if getter is not None else list(CRASH_POINTS)
+            points = self.controller.crash_points()
         point = self.rng.choice(list(points))
         self.arm(point)
         return point
@@ -96,32 +72,3 @@ class CrashInjector:
             return
         self.fired_point = label
         raise SimulatedCrash(label)
-
-    # -- one-shot drive -------------------------------------------------------
-
-    def crash_during(self, operation: Callable[[], object]) -> CrashOutcome:
-        """Run ``operation`` with the armed crash; power-cycle afterwards.
-
-        Returns whether the operation was acknowledged (returned) before the
-        crash, and whether recovery succeeded.  If the armed point was never
-        reached the crash still happens *after* the operation (crash at
-        quiescence), which is the paper's "before the next ORAM access"
-        window of Case 3.
-        """
-        acknowledged = False
-        try:
-            operation()
-            acknowledged = True
-        except SimulatedCrash:
-            acknowledged = False
-        finally:
-            self.disarm()
-        point = self.fired_point or "quiescent"
-        self.controller.crash()
-        recovered = self.controller.recover()
-        return CrashOutcome(
-            point=point,
-            acknowledged=acknowledged,
-            recovered=recovered,
-            fired=self.fired_point is not None,
-        )

@@ -236,8 +236,12 @@ def summarize_matrix(outcomes: Sequence[PointOutcome]) -> str:
 
 
 def _reproducer_filename(point: MatrixPoint) -> str:
-    slug = re.sub(r"[^A-Za-z0-9_.-]+", "-", f"{point.variant}__{point.point}__{point.wpq}")
-    return f"{slug}.json"
+    """``<variant>__<point>__<wpq>[__w<window>].json``; the window suffix
+    only appears above 1, so serial reproducers keep their old names."""
+    name = f"{point.variant}__{point.point}__{point.wpq}"
+    if point.window > 1:
+        name += f"__w{point.window}"
+    return re.sub(r"[^A-Za-z0-9_.-]+", "-", name) + ".json"
 
 
 def emit_reproducers(
@@ -261,7 +265,7 @@ def emit_reproducers(
         if not cell.trace:
             continue  # cached pre-trace result or volatile reset path
         spec = make_spec(cell.variant, cell.wpq, cell.height, cell.seed,
-                         cell.integrity)
+                         cell.integrity, outcome.point.window)
         try:
             minimized = minimize_trace(spec, cell.trace)
         except ValueError:

@@ -9,10 +9,10 @@ standalone JSON reproducers::
     python -m repro.crashsim repro crash_repros/ps__step4-after-backup.json
 
 A reproducer is self-contained: the spec names the variant, WPQ
-geometry, tree height and config seed; the events are the exact logical
-ops plus the armed crash(es).  No RNG is involved in replay — the trace
-*is* the workload — so a minimized file keeps failing bit-identically on
-any machine.
+geometry, tree height, config seed, integrity domain and scheduler
+window; the events are the exact logical ops plus the armed crash(es).
+No RNG is involved in replay — the trace *is* the workload — so a
+minimized file keeps failing bit-identically on any machine.
 
 Event schema (one dict per event):
 
@@ -21,6 +21,10 @@ Event schema (one dict per event):
 * ``{"op": "crash", "point": str, "skip": int,
   "victim": {"op": "write"|"read", "addr": int, "data": "<hex>"?}}`` —
   arm the point, drive the victim op, power-cycle, check conformance.
+
+Replay runs through the cells' own round loop
+(:func:`repro.crashsim.conformance.run_rounds`), so a reproducer is
+checked exactly as its cell was, integrity witness included.
 """
 
 from __future__ import annotations
@@ -29,106 +33,53 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.recovery import crash_and_recover
-from repro.crashsim.checker import ConsistencyChecker
-from repro.crashsim.conformance import _build_system, _workload_span
-from repro.crashsim.injector import CrashInjector
-from repro.crashsim.reference import ReferenceController, diff_logical_state
-from repro.errors import SimulatedCrash
-
-Event = Dict[str, Any]
+from repro.crashsim.conformance import (
+    CellResult,
+    ControllerSystem,
+    Event,
+    run_rounds,
+)
 
 
 def make_spec(variant: str, wpq: str, height: int, config_seed: int,
-              integrity: bool = False) -> Dict[str, Any]:
+              integrity: bool = False, window: int = 1) -> Dict[str, Any]:
     """The system half of a reproducer: everything but the ops."""
     return {"variant": variant, "wpq": wpq, "height": height,
-            "config_seed": config_seed, "integrity": integrity}
+            "config_seed": config_seed, "integrity": integrity,
+            "window": window}
 
 
-def _build_from_spec(spec: Dict[str, Any]):
-    return _build_system(spec["variant"], spec["height"], spec["wpq"],
-                         spec["config_seed"],
-                         integrity=spec.get("integrity", False))
+def _split_rounds(events: Sequence[Event]) -> Iterator[List[Event]]:
+    """Cut a trace into rounds, each ending at its crash event."""
+    ops: List[Event] = []
+    for event in events:
+        ops.append(event)
+        if event["op"] == "crash":
+            yield ops
+            ops = []
 
 
 def replay(spec: Dict[str, Any], events: Sequence[Event]) -> List[str]:
     """Deterministically re-run a trace; return the violations it produces.
 
-    Each crash event power-cycles and runs the full conformance check
-    (oracle verify + differential diff).  The first crash event that
-    yields violations stops the replay and returns them — matching how
-    the original cell run stopped at its first inconsistent round.  A
-    clean replay returns ``[]``.
+    The trace is split at its crash events and run through the same
+    round loop as the cell (:func:`~repro.crashsim.conformance.run_rounds`),
+    so every check the cell made — integrity witness, oracle,
+    differential — is made again, and the first violating round stops
+    the replay exactly as it stopped the cell.  Events after the last
+    crash are never checked, so they are not driven.  A clean replay
+    returns ``[]``.  A spec without ``integrity`` or ``window`` replays
+    without the domain, at window 1.
     """
-    config, controller = _build_from_spec(spec)
-    span = _workload_span(config)
-    supports = controller.supports_crash_consistency()
-    checker = ConsistencyChecker(controller)
-    reference = ReferenceController(span, config.oram.block_bytes)
-    injector = CrashInjector(controller)
-
-    for event in events:
-        op = event["op"]
-        if op == "write":
-            data = bytes.fromhex(event["data"])
-            checker.write(event["addr"], data)
-            reference.write(event["addr"], data)
-        elif op == "read":
-            checker.read(event["addr"])
-        elif op == "crash":
-            violations = _replay_crash(event, controller, checker,
-                                       reference, injector, supports)
-            if violations:
-                return violations
-            if not supports:
-                # Honest volatile failure: restart empty, like the cell.
-                config, controller = _build_from_spec(spec)
-                checker = ConsistencyChecker(controller)
-                reference = ReferenceController(span, config.oram.block_bytes)
-                injector = CrashInjector(controller)
-        else:
-            raise ValueError(f"unknown trace op {op!r}")
-    return []
-
-
-def _replay_crash(event, controller, checker, reference, injector,
-                  supports: bool) -> List[str]:
-    victim = event["victim"]
-    injector.arm(event["point"], skip_hits=event.get("skip", 0))
-    acknowledged = False
-    try:
-        if victim["op"] == "write":
-            checker.write(victim["addr"], bytes.fromhex(victim["data"]))
-        else:
-            checker.read(victim["addr"])
-        acknowledged = True
-    except SimulatedCrash:
-        if victim["op"] == "read":
-            checker.note_interrupted_read(victim["addr"])
-    injector.disarm()
-    if acknowledged and victim["op"] == "write":
-        reference.write(victim["addr"], bytes.fromhex(victim["data"]))
-
-    report = crash_and_recover(controller)
-    prefix = f"@ {injector.fired_point or 'quiescent'}"
-    if not supports:
-        if report.recovered:
-            return [f"{prefix}: volatile variant claims successful recovery"]
-        return []
-    if not report.recovered:
-        return [f"{prefix}: recovery failed on a variant that claims support"]
-    check = checker.verify()
-    if not check.consistent:
-        return [f"{prefix}: {v}" for v in check.violations]
-    diffs = diff_logical_state(controller, reference,
-                               checker.in_flight_window)
-    if diffs:
-        return [f"{prefix}: {v}" for v in diffs]
-    reference.apply(checker.settle())
-    return []
+    result = CellResult(variant=spec["variant"], point=None, wpq=spec["wpq"],
+                        rounds=0, seed=spec["config_seed"],
+                        height=spec["height"],
+                        integrity=spec.get("integrity", False))
+    run_rounds(ControllerSystem(result, spec.get("window", 1)),
+               _split_rounds(events))
+    return result.violations
 
 
 def minimize_trace(spec: Dict[str, Any],

@@ -11,8 +11,9 @@ import pytest
 
 from repro.config import WPQConfig, small_config
 from repro.crashsim.checker import ConsistencyChecker
-from repro.crashsim.injector import CRASH_POINTS, CrashInjector
+from repro.crashsim.injector import CrashInjector
 from repro.engine.base import PIPELINE_PHASES
+from repro.engine.ps import RCR_CRASH_POINTS
 from repro.engine.registry import build_variant
 from repro.errors import SimulatedCrash
 from repro.util.rng import DeterministicRNG
@@ -32,7 +33,7 @@ def _populated(variant, height=6, seed=5, wpq=None):
 
 class TestCrashMatrix:
     @pytest.mark.parametrize("variant", PS_VARIANTS)
-    @pytest.mark.parametrize("point", CRASH_POINTS)
+    @pytest.mark.parametrize("point", RCR_CRASH_POINTS)
     def test_consistent_after_crash_at(self, variant, point):
         controller, checker = _populated(variant)
         injector = CrashInjector(controller)
@@ -180,11 +181,11 @@ class TestInjectorMechanics:
         controller, checker = _populated("ps")
         injector = CrashInjector(controller)
         injector.arm("step2:after-intent")  # Rcr-only point: never fires
-        outcome = injector.crash_during(lambda: checker.write(3, b"x"))
-        assert outcome.acknowledged
-        assert not outcome.fired
-        assert outcome.point == "quiescent"
-        assert outcome.recovered
+        checker.write(3, b"x")  # acknowledged: no crash mid-access
+        injector.disarm()
+        assert injector.fired_point is None
+        controller.crash()  # the power cut lands at quiescence
+        assert controller.recover()
         self_report = checker.verify()
         assert self_report.consistent, self_report.violations
 

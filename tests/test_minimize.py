@@ -5,12 +5,21 @@ A test-only variant is registered whose PS policy never persists
 dirty PosMap entries — acknowledged writes are lost across a crash, so
 conformance cells against it fail.  The minimizer must shrink the
 failing trace and the standalone reproducer must replay to a violation
-through the ``repro`` CLI."""
+through the ``repro`` CLI.
+
+Replay runs the cells' own round loop, so it must return exactly the
+cell's violations — integrity-witness violations included — and a
+reproducer must keep the cell's scheduler window."""
 
 import pytest
 
-from repro.crashsim.conformance import run_cell
-from repro.crashsim.matrix import MatrixPoint, emit_reproducers
+from repro.crashsim import conformance
+from repro.crashsim.conformance import QUIESCENT, run_cell
+from repro.crashsim.matrix import (
+    MatrixPoint,
+    _reproducer_filename,
+    emit_reproducers,
+)
 from repro.crashsim.minimize import (
     load_reproducer,
     main as repro_main,
@@ -22,13 +31,17 @@ from repro.crashsim.minimize import (
 from repro.engine import registry
 from repro.engine.registry import VariantSpec
 from repro.engine.registry import build_variant
+from repro.engine.sched import WindowScheduler
 from repro.exec.pool import PointOutcome
+from repro.integrity.domain import IntegrityDomain
 
 BUGGY = "buggy-ps-test"
 
 
 def _buggy_factory(config, memory=None, key=b"repro-psoram-key"):
-    controller = build_variant("ps", config, memory=memory, key=key)
+    # The bare controller: build_variant wraps the broken one in the
+    # config's scheduler window itself.
+    controller = build_variant("ps", config, window=1, memory=memory, key=key)
     # The bug under test: dirty-entry persistence silently dropped, so
     # the persistent PosMap goes stale while the tree moves on.
     controller.policy._dirty_entries_for = lambda placed: []
@@ -37,6 +50,7 @@ def _buggy_factory(config, memory=None, key=b"repro-psoram-key"):
 
 @pytest.fixture
 def buggy_variant():
+    registry.variant_specs()  # load the real rows before adding ours
     registry.register(VariantSpec(
         name=BUGGY, hierarchy="path", policy="dirty-entry-ps (broken)",
         posmap="flat", summary="test-only: drops dirty-entry persistence",
@@ -48,9 +62,9 @@ def buggy_variant():
         registry.REGISTRY.pop(BUGGY, None)
 
 
-def _failing_cell(variant, rounds=4, seed=3):
+def _failing_cell(variant, rounds=4, seed=3, window=1):
     cell = run_cell(variant, point="step5:after-flush", rounds=rounds,
-                    seed=seed)
+                    seed=seed, window=window)
     assert not cell.consistent, "broken policy should violate the oracle"
     assert cell.trace, "violating cells must carry their trace"
     return cell
@@ -60,7 +74,7 @@ class TestMinimizer:
     def test_minimized_trace_still_reproduces(self, buggy_variant):
         cell = _failing_cell(buggy_variant)
         spec = make_spec(cell.variant, cell.wpq, cell.height, cell.seed)
-        assert replay(spec, cell.trace), "full trace must replay to failure"
+        assert replay(spec, cell.trace) == cell.violations
         minimized = minimize_trace(spec, cell.trace)
         assert len(minimized) <= len(cell.trace)
         assert minimized[-1]["op"] == "crash"  # the pinned final event
@@ -112,3 +126,58 @@ class TestMinimizer:
         spec, events, violations = load_reproducer(written[0])
         assert spec["variant"] == cell.variant
         assert replay(spec, events), "emitted reproducer must reproduce"
+
+    def test_window_reproducer_replays_through_scheduler(
+            self, buggy_variant, tmp_path, monkeypatch):
+        cell = _failing_cell(buggy_variant, window=4)
+        point = MatrixPoint(assembly=cell.variant, point=cell.point,
+                            wpq=cell.wpq, rounds=cell.rounds,
+                            seed=cell.seed, height=cell.height, window=4)
+        written = emit_reproducers([PointOutcome(point, result=cell)],
+                                   tmp_path / "repros")
+        assert written[0].name.endswith("__w4.json")
+        spec, events, _ = load_reproducer(written[0])
+        assert spec["window"] == 4
+
+        built = []
+
+        def recording_build(*args, **kwargs):
+            built.append(build_variant(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(conformance, "build_variant", recording_build)
+        assert replay(spec, cell.trace) == cell.violations
+        assert replay(spec, events)
+        assert all(isinstance(c, WindowScheduler) and c.window == 4
+                   for c in built)
+
+    def test_spec_without_window_replays_serial(self, buggy_variant):
+        cell = _failing_cell(buggy_variant)
+        spec = make_spec(cell.variant, cell.wpq, cell.height, cell.seed)
+        del spec["window"]
+        assert replay(spec, cell.trace) == cell.violations
+
+    def test_window_only_named_above_one(self):
+        base = dict(assembly="ps", point="step5:after-flush", wpq="small",
+                    rounds=2, seed=1, height=6)
+        assert (_reproducer_filename(MatrixPoint(**base))
+                == "ps__step5-after-flush__small.json")
+        assert (_reproducer_filename(MatrixPoint(**base, window=4))
+                == "ps__step5-after-flush__small__w4.json")
+
+
+class TestIntegrityReplay:
+    """Replay checks the integrity witness, exactly as the cell does."""
+
+    def test_missing_root_persist_replays_and_minimizes(self, monkeypatch):
+        monkeypatch.setattr(IntegrityDomain, "_persist_root",
+                            lambda self: None)
+        cell = run_cell("ps", point=QUIESCENT, rounds=3, seed=1,
+                        integrity=True)
+        assert any("witness" in v for v in cell.violations)
+        spec = make_spec(cell.variant, cell.wpq, cell.height, cell.seed,
+                         integrity=True)
+        assert replay(spec, cell.trace) == cell.violations
+        minimized = minimize_trace(spec, cell.trace)
+        assert len(minimized) <= len(cell.trace)
+        assert replay(spec, minimized)

@@ -72,7 +72,8 @@ class TestDeterminism:
         assert first == second
 
     def test_result_round_trips_through_dict(self):
-        result = _small_cell(variant="ps", seed=1)
+        result = _small_cell(variant="ps", seed=1, integrity=True)
+        assert result.to_dict()["integrity"] is True
         clone = ServiceCellResult.from_dict(result.to_dict())
         assert clone.to_dict() == result.to_dict()
         assert clone.consistent == result.consistent
